@@ -8,24 +8,11 @@ statement has a verifier returning a Report with pass/fail checks and
 witnesses; run_suite chains them all.
 """
 
-from .bundles import (Diff, LineBundle, MorinNu1, Named, Prim, Sum,
-                      TensorLine, Trivial, TwistedPrim, apply_regime,
-                      parse_bundle_expr, tensor_line, total_sw)
-from .germs import (GermPoint, JetReport, corank, jacobian_f,
-                    jacobian_tilde_f, normal_form_f, on_cusp_locus, on_sigma,
-                    sigma_closed, sigma_oracle, stratify_grid, tilde_f,
-                    transversality_check)
-from .gf2 import (GF2Poly, inverse_total, linepoly, poly_from_json,
-                  poly_to_json, sq1, sq1_preimage, wpoly)
-from .gysin import i_push, q_push, verify_pushforward, zero_locus_class
-from .integral import (IntegralClass, IntPoly, iclass_from_json,
-                       iclass_to_json, torsion_in_sq1_image, v_class)
-from .jets import Jet2, hessian_ad, jacobian_ad, jacobian_fd
-from .linalg import bareiss_rank, cokernel_basis, kernel_basis, rref
+from .gf2 import GF2Poly, poly_from_json, poly_to_json, sq1
+from .gysin import verify_pushforward
 from .reports import Report
-from .suite import SECTION_NAMES, failures, run_suite
-from .thom import (SingularityDescriptor, codim, default_degree, gtp,
-                   gtp_matrix, morin_tp, morin_tp_integral, sigma2_integral,
+from .suite import run_suite
+from .thom import (gtp, morin_tp, morin_tp_integral, sigma2_integral,
                    verify_cusp_coincidence, verify_gtp_convention,
                    verify_morin_derivation, verify_prim_coincidence,
                    verify_twisted_coincidence)
@@ -33,21 +20,9 @@ from .thom import (SingularityDescriptor, codim, default_degree, gtp,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Diff", "GF2Poly", "GermPoint", "IntPoly", "IntegralClass", "Jet2",
-    "JetReport", "LineBundle", "MorinNu1", "Named", "Prim", "Report",
-    "SECTION_NAMES", "SingularityDescriptor", "Sum", "TensorLine", "Trivial",
-    "TwistedPrim", "apply_regime", "bareiss_rank", "codim", "cokernel_basis",
-    "corank", "default_degree", "failures", "gtp", "gtp_matrix",
-    "hessian_ad", "i_push", "iclass_from_json", "iclass_to_json",
-    "inverse_total", "jacobian_ad", "jacobian_f", "jacobian_fd",
-    "jacobian_tilde_f", "kernel_basis", "linepoly", "morin_tp",
-    "morin_tp_integral", "normal_form_f", "on_cusp_locus", "on_sigma",
-    "parse_bundle_expr", "poly_from_json", "poly_to_json", "q_push",
-    "rref", "run_suite", "sigma2_integral", "sigma_closed", "sigma_oracle",
-    "sq1", "sq1_preimage", "stratify_grid", "tensor_line", "tilde_f",
-    "torsion_in_sq1_image", "total_sw", "transversality_check", "v_class",
+    "GF2Poly", "Report", "gtp", "morin_tp", "morin_tp_integral",
+    "poly_from_json", "poly_to_json", "run_suite", "sigma2_integral", "sq1",
     "verify_cusp_coincidence", "verify_gtp_convention",
     "verify_morin_derivation", "verify_prim_coincidence",
-    "verify_pushforward", "verify_twisted_coincidence", "wpoly",
-    "zero_locus_class",
+    "verify_pushforward", "verify_twisted_coincidence",
 ]

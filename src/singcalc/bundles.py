@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
-from .gf2 import GF2Poly, gen_sort_key, inverse_total, linegen, mono, wgen
+from .gf2 import GF2Poly, inverse_total, linegen, mono, wgen
 
 STABLE_BUNDLE_NAME = "nu_f"  # its classes are the anonymous w_i
 
@@ -156,16 +156,12 @@ class TwistedPrim:
     tag: str = "t"
 
 
-@dataclass(frozen=True)
-class MorinNu1:
-    """Same rewriting as TwistedPrim; arises from a genuine rank-(k+1)
-    representative of nu (+) l on the singular locus of a Morin map."""
+# On the singular locus of a Morin map, nu (+) l has a genuine rank-(k+1)
+# representative; its relations are exactly the TwistedPrim rewriting, so the
+# name (used by `--regime nu1`) is an alias, not a separate regime.
+MorinNu1 = TwistedPrim
 
-    k: int
-    tag: str = "t"
-
-
-Regime = Union[Prim, TwistedPrim, MorinNu1]
+Regime = Union[Prim, TwistedPrim]
 
 
 def apply_regime(p: GF2Poly, regime: Regime) -> GF2Poly:
@@ -247,24 +243,37 @@ def _expect(tokens: list, pos: int, what: str) -> int:
     return pos + 1
 
 
-def _parse_term(tokens: list, pos: int, ranks: dict):
+def _token(tokens: list, pos: int) -> str:
     if pos >= len(tokens):
         raise ValueError("unexpected end of bundle expression")
-    tok = tokens[pos]
+    return tokens[pos]
+
+
+def _tag(tokens: list, pos: int) -> str:
+    tag = _token(tokens, pos)
+    if not tag.isidentifier():
+        raise ValueError(f"line tag must be an identifier, got {tag!r}")
+    return tag
+
+
+def _parse_term(tokens: list, pos: int, ranks: dict):
+    tok = _token(tokens, pos)
     if tok == "(":
         expr, pos = _parse_sum(tokens, pos + 1, ranks)
         return expr, _expect(tokens, pos, ")")
     if tok == "eps":
         pos = _expect(tokens, pos + 1, "(")
-        rank = int(tokens[pos])
-        return Trivial(rank), _expect(tokens, pos + 1, ")")
+        rank = _token(tokens, pos)
+        if not rank.isdecimal():
+            raise ValueError(f"eps expects a non-negative integer rank, got {rank!r}")
+        return Trivial(int(rank)), _expect(tokens, pos + 1, ")")
     if tok == "line":
         pos = _expect(tokens, pos + 1, "(")
-        tag = tokens[pos]
+        tag = _tag(tokens, pos)
         return LineBundle(tag), _expect(tokens, pos + 1, ")")
     if tok == "tensor":
         pos = _expect(tokens, pos + 1, "(")
-        tag = tokens[pos]
+        tag = _tag(tokens, pos)
         pos = _expect(tokens, pos + 1, ",")
         inner, pos = _parse_sum(tokens, pos, ranks)
         return TensorLine(tag, inner), _expect(tokens, pos, ")")

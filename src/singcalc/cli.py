@@ -19,13 +19,13 @@ from fractions import Fraction
 
 import click
 
-from . import germs, gysin, thom
+from . import germs, thom
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, parse_bundle_expr, total_sw
 from .gf2 import poly_to_json
 from .integral import iclass_to_json
-from .jets import jacobian_ad, jacobian_fd
-from .reports import FAIL, INFO, PASS, Report
-from .suite import SECTION_NAMES, failures, run_suite
+from .jets import jacobian_ad
+from .reports import FAIL, INFO, Report
+from .suite import SECTION_NAMES, VERIFIERS, Verifier, add_fd_check, failures, run_suite
 
 
 def _max_deg(opt):
@@ -179,73 +179,20 @@ def verify():
     """Symbolic identity verifiers; exit 1 when an identity fails."""
 
 
-def _alias(group, command, name):
-    group.add_command(click.Command(
-        name, params=command.params, callback=command.callback,
-        help=command.help), name)
+def _verify_command(v: Verifier, name: str) -> click.Command:
+    def callback(max_deg, as_json, **kwargs):
+        args = [kwargs[p] for p in v.params]
+        _emit(_run(v.resolve(), *args, _max_deg(max_deg)), as_json)
+
+    params = [click.Option([f"--{p}"], type=int, required=True) for p in v.params]
+    params += [click.Option(["--max-deg"], type=int, default=None),
+               click.Option(["--json", "as_json"], is_flag=True)]
+    return click.Command(name, params=params, callback=callback, help=v.help)
 
 
-@verify.command("convention")
-@click.option("--max-deg", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def verify_convention(max_deg, as_json):
-    """Pin the documented determinant entry layout."""
-    _emit(_run(thom.verify_gtp_convention, _max_deg(max_deg)), as_json)
-
-
-@verify.command("cusp")
-@click.option("--k", type=int, required=True)
-@click.option("--max-deg", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def verify_cusp(k, max_deg, as_json):
-    """Corank-2 determinant equals the length-2 Morin class."""
-    _emit(_run(thom.verify_cusp_coincidence, k, _max_deg(max_deg)), as_json)
-
-
-@verify.command("prim")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--max-deg", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def verify_prim(r, k, max_deg, as_json):
-    """Both class families reduce to w_{k+1}^r when the kernel line is trivial."""
-    _emit(_run(thom.verify_prim_coincidence, r, k, _max_deg(max_deg)), as_json)
-
-
-@verify.command("twisted")
-@click.option("--k", type=int, required=True)
-@click.option("--max-deg", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def verify_twisted(k, max_deg, as_json):
-    """Doubled integral classes agree when the kernel line extends."""
-    _emit(_run(thom.verify_twisted_coincidence, k, _max_deg(max_deg)), as_json)
-
-
-@verify.command("morin-derivation")
-@click.option("--r", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--max-deg", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def verify_morin(r, k, max_deg, as_json):
-    """Re-derive the Morin class by Euler classes and pushforward."""
-    _emit(_run(thom.verify_morin_derivation, r, k, _max_deg(max_deg)), as_json)
-
-
-@verify.command("lemma-pushforward")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--max-deg", type=int, default=None)
-@click.option("--json", "as_json", is_flag=True)
-def verify_lemma(n, k, r, max_deg, as_json):
-    """Fiber integration over the projectivized bundle equals the
-    degree-(k+r+1) normal class."""
-    _emit(_run(gysin.verify_pushforward, n, k, r, _max_deg(max_deg)), as_json)
-
-
-_alias(verify, verify_cusp, "cusp-coincidence")
-_alias(verify, verify_prim, "prim-coincidence")
-_alias(verify, verify_twisted, "twisted-coincidence")
+for _v in VERIFIERS:
+    for _name in (_v.name, *_v.aliases):
+        verify.add_command(_verify_command(_v, _name))
 
 
 @tpcalc.command("suite")
@@ -330,23 +277,12 @@ def jacobian_cmd(n, k, point, t, check_fd, as_json):
                   "t": str(p.t)})
     hand = _run(germs.jacobian_tilde_f, n, k, p)
     rep.artifacts["jacobian"] = [[str(e) for e in row] for row in hand]
-    coords = p.coords() + [p.t]
-    ad = jacobian_ad(lambda c: germs._tilde_f_coords(n, k, c), coords)
+    ad = jacobian_ad(lambda c: germs._tilde_f_coords(n, k, c), p.coords() + [p.t])
     rep.check_equal("closed form equals the dual-number oracle", hand, ad)
     jr = germs.corank(hand)
     rep.add("rank", INFO, f"rank {jr.rank}, corank {jr.corank}")
     if check_fd:
-        fd = jacobian_fd(lambda c: germs._tilde_f_coords(n, k, c),
-                         [float(c) for c in coords])
-        worst = 0.0
-        shape_ok = len(fd) == len(hand)
-        if shape_ok:
-            for r1, r2 in zip(fd, hand):
-                for a, b in zip(r1, r2):
-                    worst = max(worst, abs(a - float(b)) / max(1.0, abs(float(b))))
-        ok = shape_ok and worst < 1e-6
-        rep.add("finite differences agree to 1e-6 relative",
-                PASS if ok else FAIL, f"worst relative error {worst:.3e}")
+        add_fd_check(rep, n, k, p, hand)
     _emit(rep, as_json)
 
 

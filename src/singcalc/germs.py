@@ -18,12 +18,13 @@ Everything is Fraction arithmetic; rank decisions never see floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .jets import hessian_ad, jacobian_ad
-from .linalg import bareiss_rank, cokernel_basis, kernel_basis, rref
+from .jets import hessian_ad
+from .linalg import bareiss_rank, cokernel_basis, kernel_basis
 from .reports import FAIL, INFO, PASS, Report
 
 Vec = Tuple[Fraction, ...]
@@ -302,38 +303,24 @@ def corank(matrix: Sequence[Sequence]) -> JetReport:
 
 # stratification ------------------------------------------------------------
 
-def _grid_points(n: int, values: Sequence[Fraction]):
-    # odometer over n coordinates; deterministic order
-    idx = [0] * n
-    vals = [Fraction(v) for v in values]
-    while True:
-        yield tuple(vals[i] for i in idx)
-        j = n - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < len(vals):
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
-
-
 def stratify_grid(n: int, k: int, grid: Sequence,
                   t_values: Optional[Sequence] = None) -> Report:
     """Scan a product grid: corank of df everywhere, cross-checked against
     the closed-form singular-locus equations; optionally the corank profile
     of d tilde_f over a t-grid (reported, not asserted)."""
     _validate_dims(n, k)
+    vals = [Fraction(g) for g in grid]
+    if not vals:
+        raise ValueError("empty grid")
     report = Report("stratify", {"n": n, "k": k,
-                                 "grid": [str(Fraction(g)) for g in grid],
+                                 "grid": [str(g) for g in vals],
                                  "t_values": None if t_values is None else
                                  [str(Fraction(t)) for t in t_values]})
     singular = []
     corank2 = []
     mismatch = []
     count = 0
-    for coords in _grid_points(n, grid):
+    for coords in product(vals, repeat=n):
         count += 1
         p = GermPoint.make(n, k, coords)
         rep = corank(jacobian_f(n, k, p))
@@ -359,7 +346,7 @@ def stratify_grid(n: int, k: int, grid: Sequence,
         family_c2 = []
         for tv in t_values:
             counts: dict = {}
-            for coords in _grid_points(n, grid):
+            for coords in product(vals, repeat=n):
                 p = GermPoint.make(n, k, coords)
                 rep = corank(jacobian_tilde_f(n, k, p, t=tv))
                 counts[rep.corank] = counts.get(rep.corank, 0) + 1

@@ -232,9 +232,6 @@ class GF2Poly:
     def line_tags(self) -> set:
         return {g[1] for m in self.terms for g, _ in m if g[0] == "t"}
 
-    def bundles(self) -> set:
-        return {g[1] for m in self.terms for g, _ in m if g[0] == "w"}
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

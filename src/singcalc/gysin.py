@@ -14,9 +14,9 @@ power of the kernel line class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .bundles import Named, total_sw
 from .gf2 import (GF2Poly, inverse_total, linegen, mono, mono_degree,
                   mono_mul, poly_to_json, wgen, wpoly)
 from .reports import INFO, Report
@@ -26,28 +26,12 @@ TM = "TM"
 F = "F"
 
 
-@dataclass(frozen=True)
-class PTMClass:
-    """A class on the projectivized tangent bundle of an n-manifold."""
-
-    poly: GF2Poly
-    n: int
-
-
 def tm_total(n: int, max_degree: Optional[int] = None) -> GF2Poly:
-    total = GF2Poly.one(max_degree)
-    top = n if max_degree is None else min(n, max_degree)
-    for i in range(1, top + 1):
-        total = total + GF2Poly.gen(wgen(i, TM), max_degree)
-    return total
+    return total_sw(Named(TM, n), max_degree)[1]
 
 
 def f_total(n: int, k: int, max_degree: Optional[int] = None) -> GF2Poly:
-    total = GF2Poly.one(max_degree)
-    top = n + k if max_degree is None else min(n + k, max_degree)
-    for i in range(1, top + 1):
-        total = total + GF2Poly.gen(wgen(i, F), max_degree)
-    return total
+    return total_sw(Named(F, n + k), max_degree)[1]
 
 
 def taut_class(max_degree: Optional[int] = None) -> GF2Poly:

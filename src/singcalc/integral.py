@@ -15,9 +15,9 @@ the integral cohomology of BSO the verifiers need, not all of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable
 
-from .gf2 import GF2Poly, mono, poly_from_json, poly_to_json, sq1, sq1_preimage, wgen
+from .gf2 import GF2Poly, mono, poly_from_json, poly_to_json, sq1_preimage, wgen
 
 # ---------------------------------------------------------------------------
 # free part: integer polynomials in p_1, p_2, ...

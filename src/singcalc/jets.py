@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-Scalar = Fraction
-
 
 def _zeros(m: int) -> tuple:
     return tuple(Fraction(0) for _ in range(m))
@@ -123,10 +121,6 @@ def seed(point: Sequence) -> List[Jet2]:
 
 
 MapFn = Callable[[Sequence], Sequence]
-
-
-def value(fn: MapFn, point: Sequence) -> List[Fraction]:
-    return [Fraction(v) for v in fn([Fraction(v) for v in point])]
 
 
 def jacobian_ad(fn: MapFn, point: Sequence) -> List[List[Fraction]]:

@@ -83,20 +83,10 @@ def rref(mat: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
     return m, pivots
 
 
-def rank(mat: Sequence[Sequence]) -> int:
-    return bareiss_rank(mat)
-
-
 def kernel_basis(mat: Sequence[Sequence]) -> List[Tuple[Fraction, ...]]:
     """Basis of the right null space, one vector per free column."""
     if not mat or not mat[0]:
-        cols = len(mat[0]) if mat else 0
-        ident = []
-        for f in range(cols):
-            v = [Fraction(0)] * cols
-            v[f] = Fraction(1)
-            ident.append(tuple(v))
-        return ident
+        return []
     red, pivots = rref(mat)
     cols = len(mat[0])
     free = [c for c in range(cols) if c not in pivots]

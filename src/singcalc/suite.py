@@ -1,11 +1,12 @@
 """The full verification suite: every identity the package asserts, in one run.
 
-Sections are thin wrappers over the module-level verifiers plus a few
-independent oracles (a permutation-sum determinant, random-point sampling for
-the germ lab). A fault injected into any seam the library relies on (entry
-index convention, the w_0 = 1 convention, the t-column of the family
+The identity verifiers are listed once, in VERIFIERS; that table drives both
+the matching suite sections and the `tpcalc verify` commands. The other
+sections are independent oracles (a permutation-sum determinant, random-point
+sampling for the germ lab). A fault injected into any seam the library relies
+on (entry index convention, the w_0 = 1 convention, the t-column of the family
 Jacobian) must surface here as a visible FAIL, never as a silently different
-output; that is why each section re-resolves the functions through their
+output; that is why verifiers and germ functions are resolved through their
 modules at call time and why a crashed section is reported as a failure
 instead of aborting the run.
 
@@ -15,9 +16,11 @@ Randomized sections use a fixed seed so output is byte-for-byte stable.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Iterable, List, Optional
+from itertools import permutations, product
+from types import ModuleType
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import germs, gysin, thom
 from .gf2 import GF2Poly, sq1, wpoly
@@ -28,11 +31,60 @@ from .reports import FAIL, INFO, PASS, Report
 SEED = 20260819
 
 
+# identity verifiers -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Verifier:
+    """One identity verifier, shared by `tpcalc verify` and the suite.
+
+    The verifier is called as `func(*args, max_degree)`, where args are the
+    CLI parameters in `params` order or one of the suite's `cases`.
+    """
+
+    name: str                  # verify verb and suite section
+    module: ModuleType
+    func: str
+    params: Tuple[str, ...]    # integer CLI options, in call order
+    cases: Tuple[tuple, ...]   # argument tuples the suite section runs
+    help: str
+    aliases: Tuple[str, ...] = ()
+
+    def resolve(self) -> Callable[..., Report]:
+        # looked up at call time so a patched module attribute takes effect
+        return getattr(self.module, self.func)
+
+    def run(self, max_degree: Optional[int]) -> List[Report]:
+        fn = self.resolve()
+        return [fn(*args, max_degree) for args in self.cases]
+
+
+VERIFIERS = (
+    Verifier("convention", thom, "verify_gtp_convention", (), ((),),
+             "Pin the documented determinant entry layout."),
+    Verifier("cusp", thom, "verify_cusp_coincidence", ("k",),
+             tuple((k,) for k in range(1, 9)),
+             "Corank-2 determinant equals the length-2 Morin class.",
+             ("cusp-coincidence",)),
+    Verifier("prim", thom, "verify_prim_coincidence", ("r", "k"),
+             tuple((r, k) for r in range(1, 7) for k in range(r - 1, 9)),
+             "Both class families reduce to w_{k+1}^r when the kernel line "
+             "is trivial.",
+             ("prim-coincidence",)),
+    Verifier("twisted", thom, "verify_twisted_coincidence", ("k",),
+             ((1,), (3,), (5,), (7,)),
+             "Doubled integral classes agree when the kernel line extends.",
+             ("twisted-coincidence",)),
+    Verifier("morin-derivation", thom, "verify_morin_derivation", ("r", "k"),
+             tuple(product(range(1, 7), range(1, 7))),
+             "Re-derive the Morin class by Euler classes and pushforward."),
+    Verifier("lemma-pushforward", gysin, "verify_pushforward", ("n", "k", "r"),
+             tuple(product(range(1, 7), range(0, 6), range(0, 6))),
+             "Fiber integration over the projectivized bundle equals the "
+             "degree-(k+r+1) normal class."),
+)
+
+
 # determinant family ---------------------------------------------------------
-
-def _sec_convention(d):
-    return [thom.verify_gtp_convention(d)]
-
 
 def _permanent_oracle(r: int, l: int, max_degree=None) -> GF2Poly:
     # mod 2 the determinant is the permanent, so the permutation sum is an
@@ -63,29 +115,6 @@ def _sec_gtp_oracle(d):
         rep.add("determinant equals the permutation-sum oracle", PASS,
                 "28 (r,l) pairs")
     return [rep]
-
-
-def _sec_cusp(d):
-    return [thom.verify_cusp_coincidence(k, d) for k in range(1, 9)]
-
-
-def _sec_prim(d):
-    return [thom.verify_prim_coincidence(r, k, d)
-            for r in range(1, 7) for k in range(r - 1, 9)]
-
-
-def _sec_twisted(d):
-    return [thom.verify_twisted_coincidence(k, d) for k in (1, 3, 5, 7)]
-
-
-def _sec_morin_derivation(d):
-    return [thom.verify_morin_derivation(r, k, d)
-            for r in range(1, 7) for k in range(1, 7)]
-
-
-def _sec_lemma_pushforward(d):
-    return [gysin.verify_pushforward(n, k, r, d)
-            for n in range(1, 7) for k in range(0, 6) for r in range(0, 6)]
 
 
 # Steenrod layer --------------------------------------------------------------
@@ -197,7 +226,7 @@ def _sec_germ_sigma(d):
     n, k = 4, 1
     vanish_bad = []
     sigma_count = cusp_count = 0
-    for coords in germs._grid_points(n, grid):
+    for coords in product(grid, repeat=n):
         p = germs.GermPoint.make(n, k, coords)
         zero = all(c == 0 for c in germs.sigma_closed(n, k, p))
         even_zero = p.z == 0 and all(p.x[2 * i - 1] == 0 for i in range(1, k + 1))
@@ -213,6 +242,22 @@ def _sec_germ_sigma(d):
             f"grid (-2..2)^4: {sigma_count} singular, {cusp_count} cusp",
             witnesses=vanish_bad or None)
     return [rep]
+
+
+def add_fd_check(rep: Report, n: int, k: int, p: germs.GermPoint, hand) -> None:
+    """Record whether float central differences of the family at p agree
+    with the exact Jacobian `hand` to 1e-6 relative; a shape mismatch fails."""
+    fd = jacobian_fd(lambda c: germs._tilde_f_coords(n, k, c),
+                     [float(c) for c in p.coords() + [p.t]])
+    worst = 0.0
+    ok = len(fd) == len(hand) and all(len(a) == len(b) for a, b in zip(fd, hand))
+    if ok:
+        for r1, r2 in zip(fd, hand):
+            for a, b in zip(r1, r2):
+                worst = max(worst, abs(a - float(b)) / max(1.0, abs(float(b))))
+        ok = worst < 1e-6
+    rep.add("finite differences agree to 1e-6 relative",
+            PASS if ok else FAIL, f"worst relative error {worst:.3e}")
 
 
 def _sec_germ_jacobian(d):
@@ -240,21 +285,9 @@ def _sec_germ_jacobian(d):
     rep.add("t-column of the Jacobian is sigma",
             PASS if not tcol_bad else FAIL, witnesses=tcol_bad or None)
     n, k = 4, 1
-    coords = [0.25, -0.5, 0.125, 0.75]
-    t = 0.5
-    fd = jacobian_fd(lambda c: germs._tilde_f_coords(n, k, c), coords + [t])
-    p = germs.GermPoint.make(n, k, [Fraction(c) for c in coords], t=Fraction(t))
-    hand = germs.jacobian_tilde_f(n, k, p)
-    worst = 0.0
-    ok = len(fd) == len(hand) and all(len(a) == len(b) for a, b in zip(fd, hand))
-    if ok:
-        for r1, r2 in zip(fd, hand):
-            for a, b in zip(r1, r2):
-                err = abs(a - float(b)) / max(1.0, abs(float(b)))
-                worst = max(worst, err)
-        ok = worst < 1e-6
-    rep.add("finite differences agree to 1e-6 relative",
-            PASS if ok else FAIL, f"worst relative error {worst:.3e}")
+    p = germs.GermPoint.make(n, k, [Fraction(1, 4), Fraction(-1, 2), Fraction(1, 8),
+                                    Fraction(3, 4)], t=Fraction(1, 2))
+    add_fd_check(rep, n, k, p, germs.jacobian_tilde_f(n, k, p))
     return [rep]
 
 
@@ -314,15 +347,13 @@ def _sec_germ_transversality(d):
     return [rep]
 
 
+# run order: the convention pin first, then the determinant and Steenrod
+# oracles, the remaining table verifiers, and the integral and germ sections
 _SECTIONS = (
-    ("convention", _sec_convention),
+    (VERIFIERS[0].name, VERIFIERS[0].run),
     ("gtp-oracle", _sec_gtp_oracle),
     ("steenrod", _sec_steenrod),
-    ("cusp", _sec_cusp),
-    ("prim", _sec_prim),
-    ("twisted", _sec_twisted),
-    ("morin-derivation", _sec_morin_derivation),
-    ("lemma-pushforward", _sec_lemma_pushforward),
+    *((v.name, v.run) for v in VERIFIERS[1:]),
     ("integral-reduction", _sec_integral_reduction),
     ("germ-sigma", _sec_germ_sigma),
     ("germ-jacobian", _sec_germ_jacobian),

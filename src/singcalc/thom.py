@@ -11,7 +11,6 @@ identity; raising is reserved for out-of-range parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
@@ -20,35 +19,6 @@ from .gf2 import (GF2Poly, linegen, mono, poly_to_json, wgen, wpoly)
 from .gysin import i_push
 from .integral import IntegralClass, IntPoly, iclass_to_json, v_class
 from .reports import INFO, SKIPPED, Report
-
-MORIN = "morin"
-SIGMA_R = "sigma_r"
-
-
-@dataclass(frozen=True)
-class SingularityDescriptor:
-    """A Thom-Boardman locus: corank-r (sigma_r) or r-fold kernel line (morin),
-    for maps of codimension codim_of_map."""
-
-    kind: str
-    r: int
-    codim_of_map: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in (MORIN, SIGMA_R):
-            raise ValueError(f"unknown singularity kind {self.kind!r}")
-        if self.r < 1:
-            raise ValueError("need r >= 1")
-        if self.codim_of_map < 0:
-            raise ValueError("need codim_of_map >= 0")
-
-
-def codim(s: SingularityDescriptor) -> int:
-    """Codimension of the locus in the source manifold."""
-    if s.kind == MORIN:
-        return s.r * (s.codim_of_map + 1)
-    return s.r * (s.codim_of_map + s.r)
-
 
 def default_degree(k: int) -> int:
     # large enough for every identity at this codimension up to r = 4

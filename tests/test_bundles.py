@@ -1,6 +1,8 @@
 """Whitney formula, line twisting, rewriting regimes, expression parser."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from singcalc.bundles import (Diff, LineBundle, MorinNu1, Named, Prim, Sum,
                               TensorLine, Trivial, TwistedPrim, apply_regime,
@@ -125,6 +127,22 @@ def test_parser_errors():
         parse_bundle_expr("eps(2", ranks)
     with pytest.raises(ValueError):
         parse_bundle_expr("nu_f @ nu_f", ranks)
+    for text in ("eps(", "line(", "tensor(", "tensor(t,", "line(+)", "line(2)",
+                 "tensor((, nu_f)", "eps(-3)", "eps(x)", "eps(3_0)"):
+        with pytest.raises(ValueError):
+            parse_bundle_expr(text, ranks)
+
+
+GRAMMAR_TOKENS = ["eps", "line", "tensor", "nu_f", "TM", "t", "u", "x", "0", "3",
+                  "(", ")", "+", "-", ",", " ", "_", "@"]
+
+
+@given(st.lists(st.sampled_from(GRAMMAR_TOKENS), max_size=24).map("".join))
+def test_parser_returns_or_raises_value_error(text):
+    try:
+        parse_bundle_expr(text, {"nu_f": 4, "TM": 3})
+    except ValueError:
+        pass
 
 
 def test_kernel_line_relation_shape():

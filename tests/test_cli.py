@@ -7,7 +7,10 @@ import pytest
 from click.testing import CliRunner
 
 import singcalc.cli as cli
+import singcalc.gysin as gysin
+import singcalc.thom as thom
 from singcalc.reports import FAIL, Report
+from singcalc.suite import failures, run_suite
 
 
 @pytest.fixture
@@ -79,8 +82,12 @@ def test_total_sw_expression(runner):
     assert res.exit_code == 2
     res = runner.invoke(cli.tpcalc, ["total-sw", "tensor(t, line(u))"])
     assert res.exit_code == 0
-    res = runner.invoke(cli.tpcalc, ["total-sw", "line(t) +"])
-    assert res.exit_code == 2
+    for bad in ("line(t) +", "eps(", "line(", "tensor(", "tensor(t,", "line(+)",
+                "tensor((, nu_f)", "eps(-3)", "eps(x)"):
+        res = runner.invoke(cli.tpcalc, ["total-sw", bad])
+        assert res.exit_code == 2, bad
+    res = runner.invoke(cli.tpcalc, ["total-sw", "eps(-3)"])
+    assert "eps expects a non-negative integer rank" in res.output
 
 
 def test_verify_cusp_and_alias(runner):
@@ -94,19 +101,40 @@ def test_verify_cusp_and_alias(runner):
                    for n in names)
 
 
-def test_verify_failure_exit_code(runner, monkeypatch):
-    # the cli resolves verifiers through the module, so a patched verifier
-    # drives the reported status and exit code
-    def bogus(k, max_degree=None):
-        rep = Report("verify cusp", {"k": k})
+# verb -> (module, verifier attribute, CLI arguments, suite section)
+SEAMS = {
+    "convention": (thom, "verify_gtp_convention", [], "convention"),
+    "cusp": (thom, "verify_cusp_coincidence", ["--k", "1"], "cusp"),
+    "cusp-coincidence": (thom, "verify_cusp_coincidence", ["--k", "1"], "cusp"),
+    "prim": (thom, "verify_prim_coincidence", ["--r", "2", "--k", "3"], "prim"),
+    "prim-coincidence": (thom, "verify_prim_coincidence", ["--r", "2", "--k", "3"],
+                         "prim"),
+    "twisted": (thom, "verify_twisted_coincidence", ["--k", "3"], "twisted"),
+    "twisted-coincidence": (thom, "verify_twisted_coincidence", ["--k", "3"],
+                            "twisted"),
+    "morin-derivation": (thom, "verify_morin_derivation", ["--r", "2", "--k", "2"],
+                         "morin-derivation"),
+    "lemma-pushforward": (gysin, "verify_pushforward",
+                          ["--n", "2", "--k", "1", "--r", "1"], "lemma-pushforward"),
+}
+
+
+@pytest.mark.parametrize("verb", list(SEAMS))
+def test_verify_failure_exit_code(runner, monkeypatch, verb):
+    # the cli and the suite resolve verifiers through the module at call
+    # time, so a patched verifier drives both the status and the exit code
+    module, attr, args, section = SEAMS[verb]
+
+    def bogus(*_):
+        rep = Report(f"verify {verb}", {})
         rep.add("forced", FAIL, "injected for the exit-code test")
         return rep
 
-    import singcalc.thom as thom
-    monkeypatch.setattr(thom, "verify_cusp_coincidence", bogus)
-    res = runner.invoke(cli.tpcalc, ["verify", "cusp", "--k", "1"])
+    monkeypatch.setattr(module, attr, bogus)
+    res = runner.invoke(cli.tpcalc, ["verify", verb, *args])
     assert res.exit_code == 1
     assert "[FAIL]" in res.output
+    assert failures(run_suite([section]))
 
 
 def test_verify_other_verbs(runner):
@@ -140,7 +168,6 @@ def test_suite_unknown_section(runner):
 def test_suite_failure_exit(runner, monkeypatch):
     # flip the determinant filling convention; the layout-pinning section
     # must catch it and drive the exit code
-    import singcalc.thom as thom
     orig = thom._entry_index
     monkeypatch.setattr(thom, "_entry_index",
                         lambda r, l, i, j: orig(r, l, j, i))

@@ -177,6 +177,11 @@ def test_stratify_grid_matches_closed_form():
     assert rep.artifacts["corank2_points"] == []
 
 
+def test_stratify_grid_rejects_empty_grid():
+    with pytest.raises(ValueError, match="empty grid"):
+        stratify_grid(4, 1, [])
+
+
 def test_stratify_grid_family_profile():
     rep = stratify_grid(4, 1, [Fraction(-1), Fraction(0), Fraction(1)],
                         t_values=[Fraction(0), Fraction(1)])

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 from singcalc.germs import _tilde_f_coords
-from singcalc.jets import (Jet2, hessian_ad, jacobian_ad, jacobian_fd, seed,
-                           value)
-from singcalc.linalg import bareiss_rank, cokernel_basis, kernel_basis, rank, rref
+from singcalc.jets import Jet2, hessian_ad, jacobian_ad, jacobian_fd, seed
+from singcalc.linalg import bareiss_rank, cokernel_basis, kernel_basis, rref
 
 
 def _random_matrix(rng, rows, cols):
@@ -24,7 +23,7 @@ def test_rank_routes_agree():
         cols = rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
         _, pivots = rref(mat)
-        assert bareiss_rank(mat) == len(pivots) == rank(mat)
+        assert bareiss_rank(mat) == len(pivots)
 
 
 def test_rank_edge_cases():
@@ -39,7 +38,7 @@ def test_kernel_and_cokernel_bases():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         mat = _random_matrix(rng, rows, cols)
-        rk = rank(mat)
+        rk = bareiss_rank(mat)
         ker = kernel_basis(mat)
         cok = cokernel_basis(mat)
         assert len(ker) == cols - rk
@@ -79,11 +78,6 @@ def test_jet_inverse_and_pow():
     assert (x ** 0).val == 1
     with pytest.raises(ZeroDivisionError):
         Jet2.const(0, 1).inverse()
-
-
-def test_value_matches_plain_evaluation():
-    fn = lambda v: [v[0] * v[1] + 1, v[0] - v[1] ** 2]
-    assert value(fn, [2, 3]) == [Fraction(7), Fraction(-7)]
 
 
 def test_hessian_symmetry_on_germ_family():

@@ -7,11 +7,11 @@ import pytest
 from singcalc.gf2 import GF2Poly, wpoly
 from singcalc.integral import IntPoly, v_class
 from singcalc.reports import FAIL, PASS, SKIPPED
-from singcalc.thom import (SingularityDescriptor, codim, default_degree, gtp,
-                           gtp_matrix, morin_tp, morin_tp_integral,
-                           sigma2_integral, verify_cusp_coincidence,
-                           verify_gtp_convention, verify_morin_derivation,
-                           verify_prim_coincidence, verify_twisted_coincidence)
+from singcalc.thom import (default_degree, gtp, gtp_matrix, morin_tp,
+                           morin_tp_integral, sigma2_integral,
+                           verify_cusp_coincidence, verify_gtp_convention,
+                           verify_morin_derivation, verify_prim_coincidence,
+                           verify_twisted_coincidence)
 import singcalc.thom as thom
 
 
@@ -28,15 +28,7 @@ def _permanent(r, l, d=None):
 
 
 def test_codim():
-    assert codim(SingularityDescriptor("morin", 3, 2)) == 9
-    assert codim(SingularityDescriptor("sigma_r", 2, 1)) == 6
     assert default_degree(3) == 16
-    with pytest.raises(ValueError):
-        SingularityDescriptor("morin", 0, 2)
-    with pytest.raises(ValueError):
-        SingularityDescriptor("weird", 1, 1)
-    with pytest.raises(ValueError):
-        SingularityDescriptor("morin", 1, -1)
 
 
 @pytest.mark.parametrize("r,l", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 1), (3, 2), (4, 2)])
