@@ -40,6 +40,27 @@ def _max_deg(opt):
         raise click.UsageError(f"SINGCALC_MAX_DEG must be an integer, got {env!r}")
 
 
+# The 2^r-state determinant memo grows about 6-8x per step in r: gtp takes
+# 0.8-1.6 s at r = 10 on a 2-core machine, and several seconds (and hundreds
+# of MB) at r = 11.
+GTP_MAX_R = 10
+
+
+def _class_bound(opt, degree: int, formula: str):
+    """The degree bound from --max-deg or SINGCALC_MAX_DEG, refused when it
+    would truncate a class that lives in `degree` (formula names it)."""
+    d = _max_deg(opt)
+    if d is None:
+        return None
+    if d < 0:
+        raise click.UsageError(f"degree bound must be non-negative, got {d}; "
+                               f"the class lives in degree {formula} = {degree}")
+    if d < degree:
+        raise click.UsageError(f"degree bound {d} is below the class degree "
+                               f"{formula} = {degree}; the class would print as 0")
+    return d
+
+
 def _run(fn, *args, **kwargs):
     # domain validation errors are usage errors at the CLI boundary (exit 2)
     try:
@@ -91,7 +112,10 @@ def tpcalc():
 @click.option("--json", "as_json", is_flag=True)
 def gtp_cmd(r, l, max_deg, as_json):
     """Determinantal class of the corank-r locus in codimension l."""
-    d = _max_deg(max_deg)
+    if r > GTP_MAX_R:
+        raise click.UsageError(f"--r {r} exceeds the cost bound GTP_MAX_R = {GTP_MAX_R}: "
+                               "the determinant memo has 2^r states")
+    d = _class_bound(max_deg, r * (l + r), "r(l+r)")
     p = _run(thom.gtp, r, l, d)
     if as_json:
         click.echo(json.dumps({"command": "gtp",
@@ -118,7 +142,7 @@ def morin_cmd(r, k, integral, max_deg, as_json):
         else:
             click.echo(str(c))
         return
-    d = _max_deg(max_deg)
+    d = _class_bound(max_deg, r * (k + 1), "r(k+1)")
     p = _run(thom.morin_tp, r, k, d)
     if as_json:
         click.echo(json.dumps({"command": "morin",

@@ -102,6 +102,37 @@ def mono_str(m: tuple) -> str:
     return "*".join(parts)
 
 
+class Packing:
+    """Monomials over a fixed set of generators packed into one int.
+
+    Each generator owns a field of bound.bit_length() bits, in gen_sort_key
+    order from the least significant end, and the total degree sits in the
+    top field, which is unbounded. When every monomial ever formed has total
+    degree at most `bound`, no exponent exceeds it either (generators have
+    degree at least 1), so no field overflows: a product is one integer addition and
+    "degree <= d" is the single compare `x < self.limit(d)`. This is the
+    packed exponent vector of Monagan and Pearce (CASC 2007).
+    """
+
+    def __init__(self, gens: Iterable[tuple], bound: int):
+        width = max(1, bound.bit_length())
+        order = sorted(set(gens), key=gen_sort_key)
+        self.mask = (1 << width) - 1
+        self.top = width * len(order)
+        self.fields = [(g, width * i) for i, g in enumerate(order)]
+        self.unit = {g: (1 << s) + (gen_degree(g) << self.top) for g, s in self.fields}
+
+    def pack(self, m: tuple) -> int:
+        return sum(self.unit[g] * e for g, e in m)
+
+    def unpack(self, x: int) -> tuple:
+        mask = self.mask
+        return tuple((g, e) for g, s in self.fields if (e := x >> s & mask))
+
+    def limit(self, d: int) -> int:
+        return max(d + 1, 0) << self.top
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -280,14 +311,17 @@ def _sq1_gen(g: tuple) -> GF2Poly:
 def sq1(p: GF2Poly) -> GF2Poly:
     """First Steenrod square, extended from generators as a derivation."""
     bound = None if p.max_degree is None else p.max_degree + 1
-    acc = GF2Poly.zero(bound)
+    acc: set = set()
     for m in p.terms:
         for j, (g, e) in enumerate(m):
             if e % 2 == 0:
                 continue
             rest = mono(list(m[:j]) + [(g, e - 1)] + list(m[j + 1:]))
-            acc = acc + GF2Poly.from_terms([rest], bound) * _sq1_gen(g)
-    return acc
+            for x in _sq1_gen(g).terms:
+                prod = mono_mul(rest, x)
+                if bound is None or mono_degree(prod) <= bound:
+                    acc ^= {prod}
+    return GF2Poly(frozenset(acc), bound)
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +434,26 @@ def sq1_preimage(a: GF2Poly) -> Optional[GF2Poly]:
 
 
 def inverse_total(a: GF2Poly, max_degree: int) -> GF2Poly:
-    """Multiplicative inverse of a total class (constant term 1) up to degree."""
+    """Multiplicative inverse of a total class (constant term 1) up to degree.
+
+    Runs on packed monomials: a is split into homogeneous parts once, and
+    the degree-d part of the inverse is the sum of a_e * inv_{d-e}, whose
+    terms all have degree d <= bound.
+    """
     if a.homogeneous_part(0) != GF2Poly.one():
         raise ValueError("inverse_total needs constant term 1")
-    parts = [GF2Poly.one(max_degree)]
-    for d in range(1, max_degree + 1):
-        acc = GF2Poly.zero(max_degree)
+    bound = _bound_min(max_degree, a.max_degree)
+    pk = Packing((g for m in a.terms for g, _ in m), bound)
+    a_parts = [[] for _ in range(bound + 1)]
+    for m in a.terms:
+        d = mono_degree(m)
+        if 0 < d <= bound:
+            a_parts[d].append(pk.pack(m))
+    parts = [{0}] if bound >= 0 else []
+    for d in range(1, bound + 1):
+        acc: set = set()
         for e in range(1, d + 1):
-            ae = a.homogeneous_part(e)
-            if ae.is_zero():
-                continue
-            acc = acc + ae * parts[d - e]
+            for x in a_parts[e]:
+                acc ^= {x + y for y in parts[d - e]}
         parts.append(acc)
-    total = GF2Poly.zero(max_degree)
-    for q in parts:
-        total = total + q
-    return total
+    return GF2Poly(frozenset(pk.unpack(x) for part in parts for x in part), bound)

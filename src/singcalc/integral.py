@@ -90,10 +90,14 @@ class IntPoly:
     def __pow__(self, e: int) -> "IntPoly":
         if e < 0:
             raise ValueError("negative power")
-        out = IntPoly.one()
-        for _ in range(e):
-            out = out * self
-        return out
+        result, base = IntPoly.one(), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -166,10 +170,14 @@ class IntegralClass:
     def __pow__(self, e: int) -> "IntegralClass":
         if e < 0:
             raise ValueError("negative power")
-        out = IntegralClass.from_free(IntPoly.one())
-        for _ in range(e):
-            out = out * self
-        return out
+        result, base = IntegralClass.from_free(IntPoly.one()), self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
+        return result
 
     def scale(self, c: int) -> "IntegralClass":
         # torsion is 2-torsion: an even multiple kills it

@@ -15,7 +15,8 @@ from typing import List, Optional
 
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
 from .bundles import LineBundle, Named, Sum
-from .gf2 import (GF2Poly, linegen, mono, poly_to_json, wgen, wpoly)
+from .gf2 import (GF2Poly, Packing, _bound_min, linegen, mono, mono_degree, poly_to_json,
+                  wgen, wpoly)
 from .gysin import i_push
 from .integral import IntegralClass, IntPoly, iclass_to_json, v_class
 from .reports import INFO, SKIPPED, Report
@@ -56,23 +57,37 @@ def gtp_matrix(r: int, l: int, max_degree: Optional[int] = None) -> List[List[GF
 
 
 def _det(mat: List[List[GF2Poly]], max_degree: Optional[int]) -> GF2Poly:
-    # Laplace expansion with memoization on the surviving column set; over
-    # GF(2) no signs are involved
+    # Laplace expansion along the rows, memoized on the surviving column set,
+    # on packed monomials: a minor is a set of ints, and over GF(2) no signs
+    # are involved, so adding a product is a symmetric difference. Every
+    # monomial formed takes one term from each of some rows, so the sum of
+    # the rows' top degrees bounds its degree and sets the field width. A
+    # minor's degree bound is the least bound among max_degree, its nonzero
+    # entries and its subminors, as GF2Poly arithmetic would carry it.
     r = len(mat)
-    memo = {0: GF2Poly.one(max_degree)}
+    top = sum(max((mono_degree(m) for e in row for m in e.terms), default=0) for row in mat)
+    pk = Packing((g for row in mat for e in row for m in e.terms for g, _ in m), top)
+    packed = [[[pk.pack(m) for m in e.terms] for e in row] for row in mat]
+    memo = {0: ({0}, max_degree)}
 
-    def minor(cols: int) -> GF2Poly:
-        if cols in memo:
-            return memo[cols]
-        i = r - bin(cols).count("1")
-        acc = GF2Poly.zero(max_degree)
-        for j in range(r):
-            if cols >> j & 1 and not mat[i][j].is_zero():
-                acc = acc + mat[i][j] * minor(cols & ~(1 << j))
-        memo[cols] = acc
-        return acc
+    def minor(cols: int) -> tuple:
+        if cols not in memo:
+            i = r - bin(cols).count("1")
+            subs = [(j, minor(cols & ~(1 << j))) for j in range(r)
+                    if cols >> j & 1 and packed[i][j]]
+            bound = max_degree
+            for j, (_, sub_bound) in subs:
+                bound = _bound_min(bound, _bound_min(mat[i][j].max_degree, sub_bound))
+            limit = pk.limit(top if bound is None else bound)
+            acc: set = set()
+            for j, (sub, _) in subs:
+                for x in packed[i][j]:
+                    acc ^= {x + y for y in sub if x + y < limit}
+            memo[cols] = (acc, bound)
+        return memo[cols]
 
-    return minor((1 << r) - 1)
+    terms, bound = minor((1 << r) - 1)
+    return GF2Poly(frozenset(pk.unpack(x) for x in terms), bound)
 
 
 def gtp(r: int, l: int, max_degree: Optional[int] = None) -> GF2Poly:

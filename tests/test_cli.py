@@ -55,16 +55,58 @@ def test_morin_rank_zero_is_usage_error(runner):
 
 
 def test_max_deg_env_override(runner):
-    # a degree bound below the class degree empties the polynomial
     res = runner.invoke(cli.tpcalc, ["gtp", "--r", "2", "--l", "2", "--json"],
-                        env={"SINGCALC_MAX_DEG": "6"})
+                        env={"SINGCALC_MAX_DEG": "8"})
     assert res.exit_code == 0
     payload = json.loads(res.output)
-    assert payload["polynomial"] == []
-    assert payload["params"]["max_degree"] == 6
+    assert payload["polynomial"] == [[["w3", 1], ["w5", 1]], [["w4", 2]]]
+    assert payload["params"]["max_degree"] == 8
+    # a bound below the class degree would empty the polynomial: refused
+    res = runner.invoke(cli.tpcalc, ["gtp", "--r", "2", "--l", "2", "--json"],
+                        env={"SINGCALC_MAX_DEG": "6"})
+    assert res.exit_code == 2
+    assert "r(l+r) = 8" in res.output
     res = runner.invoke(cli.tpcalc, ["gtp", "--r", "2", "--l", "2"],
                         env={"SINGCALC_MAX_DEG": "junk"})
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args,degree", [
+    (["gtp", "--r", "2", "--l", "2", "--max-deg", "-1"], "r(l+r) = 8"),
+    (["gtp", "--r", "2", "--l", "2", "--max-deg", "7"], "r(l+r) = 8"),
+    (["gtp", "--r", "3", "--l", "1", "--max-deg", "0"], "r(l+r) = 12"),
+    (["morin", "--r", "2", "--k", "3", "--max-deg", "3"], "r(k+1) = 8"),
+    (["morin", "--r", "2", "--k", "3", "--max-deg", "-1"], "r(k+1) = 8"),
+    (["morin", "--r", "3", "--k", "1", "--max-deg", "5"], "r(k+1) = 6"),
+])
+def test_degree_bound_below_class_degree_is_usage_error(runner, args, degree):
+    res = runner.invoke(cli.tpcalc, args)
+    assert res.exit_code == 2
+    assert degree in res.output
+    # the same bound through the environment
+    res = runner.invoke(cli.tpcalc, args[:-2], env={"SINGCALC_MAX_DEG": args[-1]})
+    assert res.exit_code == 2
+    assert degree in res.output
+
+
+def test_degree_bound_at_class_degree_prints_the_class(runner):
+    res = runner.invoke(cli.tpcalc, ["gtp", "--r", "2", "--l", "2", "--max-deg", "8"])
+    assert (res.exit_code, res.output.strip()) == (0, "w3*w5 + w4^2")
+    res = runner.invoke(cli.tpcalc, ["morin", "--r", "2", "--k", "3", "--max-deg", "8"])
+    assert (res.exit_code, res.output.strip()) == (0, "w3*w5 + w4^2")
+
+
+def test_gtp_cost_guard_refuses_before_any_work(runner, monkeypatch):
+    def no_det(mat, max_degree):
+        raise AssertionError("the determinant must not run")
+
+    monkeypatch.setattr(thom, "_det", no_det)
+    res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(cli.GTP_MAX_R + 1), "--l", "0"])
+    assert res.exit_code == 2
+    assert f"GTP_MAX_R = {cli.GTP_MAX_R}" in res.output
+    # at the bound itself the command gets as far as the determinant
+    res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(cli.GTP_MAX_R), "--l", "0"])
+    assert isinstance(res.exception, AssertionError)
 
 
 def test_total_sw_expression(runner):

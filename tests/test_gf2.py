@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcalc.gf2 import (GF2Poly, inverse_total, linegen, mono, mono_degree,
-                          parse_gen, poly_from_json, poly_to_json, sq1,
-                          sq1_preimage, wgen, wpoly)
+from singcalc.bundles import parse_bundle_expr, total_sw
+from singcalc.gf2 import (GF2Poly, Packing, inverse_total, linegen, mono,
+                          mono_degree, mono_mul, parse_gen, poly_from_json,
+                          poly_to_json, sq1, sq1_preimage, wgen, wpoly)
+from singcalc.gysin import tm_total
 
 GENS = [wgen(i) for i in range(1, 6)] + [wgen(2, "E"), linegen("t")]
 
@@ -68,6 +70,18 @@ def test_generator_names_roundtrip():
 @given(polys)
 def test_json_roundtrip(a):
     assert poly_from_json(poly_to_json(a)) == a
+
+
+# packed monomials -------------------------------------------------------------
+
+@given(monomials, monomials, st.integers(-1, 20))
+def test_packing_products_and_degree_cut(m1, m2, d):
+    top = mono_degree(m1) + mono_degree(m2)
+    pk = Packing([g for g, _ in m1 + m2], top)
+    x1, x2 = pk.pack(m1), pk.pack(m2)
+    assert pk.unpack(x1) == m1 and pk.unpack(x2) == m2
+    assert pk.unpack(x1 + x2) == mono_mul(m1, m2)
+    assert (x1 + x2 < pk.limit(d)) == (top <= d)
 
 
 # sq1 -----------------------------------------------------------------------
@@ -202,3 +216,27 @@ def test_inverse_total_first_terms():
     inv = inverse_total(total, 6)
     assert inv.homogeneous_part(1) == wpoly(1, "", 6)
     assert inv.homogeneous_part(2) == wpoly(1, "", 6) ** 2 + wpoly(2, "", 6)
+
+
+def _times_inverse_is_one(a, d):
+    inv = inverse_total(a, d)
+    assert inv.max_degree == d
+    assert all(mono_degree(m) <= d for m in inv.terms)
+    assert (a * inv).truncate(d) == GF2Poly.one()
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 5, 9, 13, 17, 21, 24])
+def test_inverse_total_of_tangent_classes(d):
+    for n in sorted({1, 2, 3, 8, d}):
+        _times_inverse_is_one(tm_total(n, d), d)
+
+
+@pytest.mark.parametrize("expr", ["nu_f + line(t)", "tensor(t, nu_f)",
+                                  "tensor(t, nu_f) + line(u) + TM",
+                                  "tensor(u, F) + tensor(t, nu_f)"])
+def test_inverse_total_with_line_classes(expr):
+    tree = parse_bundle_expr(expr, {"nu_f": 3, "TM": 4, "F": 2})
+    for d in (1, 4, 8, 12):
+        a = total_sw(tree, d)[1]
+        assert a.line_tags()
+        _times_inverse_is_one(a, d)

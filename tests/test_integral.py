@@ -32,6 +32,18 @@ def test_intpoly_ring(a, b, c):
     assert a * IntPoly.one() == a
 
 
+@given(ppolys, classes, st.integers(0, 9))
+def test_powers_are_repeated_products(a, c, e):
+    # square-and-multiply against the plain product loop
+    pa, pc = IntPoly.one(), IntegralClass.from_free(IntPoly.one())
+    for _ in range(e):
+        pa, pc = pa * a, pc * c
+    assert a ** e == pa
+    assert c ** e == pc
+    with pytest.raises(ValueError):
+        a ** -1
+
+
 def test_intpoly_reduction_is_rho():
     # p_i reduces to w_{2i}^2
     for i in (1, 2, 3):

@@ -3,8 +3,10 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singcalc.gf2 import GF2Poly, wpoly
+from singcalc.gf2 import GF2Poly, linegen, mono, wgen, wpoly
 from singcalc.integral import IntPoly, v_class
 from singcalc.reports import FAIL, PASS, SKIPPED
 from singcalc.thom import (default_degree, gtp, gtp_matrix, morin_tp,
@@ -27,6 +29,25 @@ def _permanent(r, l, d=None):
     return acc
 
 
+def _laplace(mat, d):
+    # the plain-GF2Poly Laplace expansion along the rows, memoized on the
+    # surviving column set
+    r = len(mat)
+    memo = {0: GF2Poly.one(d)}
+
+    def minor(cols):
+        if cols not in memo:
+            i = r - bin(cols).count("1")
+            acc = GF2Poly.zero(d)
+            for j in range(r):
+                if cols >> j & 1 and not mat[i][j].is_zero():
+                    acc = acc + mat[i][j] * minor(cols & ~(1 << j))
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor((1 << r) - 1)
+
+
 def test_codim():
     assert default_degree(3) == 16
 
@@ -34,6 +55,55 @@ def test_codim():
 @pytest.mark.parametrize("r,l", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 1), (3, 2), (4, 2)])
 def test_gtp_matches_permanent(r, l):
     assert gtp(r, l) == _permanent(r, l)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_gtp_matches_plain_laplace(r, l):
+    deg = r * (l + r)
+    for d in (None, deg, deg - 1, 10):
+        got = gtp(r, l, d)
+        want = _laplace(gtp_matrix(r, l, d), d)
+        assert got == want and got.max_degree == want.max_degree
+        assert str(got) == str(want)
+
+
+# mixed generators: two bundle families, line classes, exponents up to 3
+_GENS = [wgen(1), wgen(2), wgen(3), wgen(1, "E"), wgen(2, "E"),
+         linegen("t"), linegen("u")]
+_monos = st.lists(st.tuples(st.sampled_from(_GENS), st.integers(1, 3)),
+                  max_size=3).map(mono)
+_bounds = st.one_of(st.none(), st.integers(-1, 12))
+
+
+@st.composite
+def _matrices(draw):
+    r = draw(st.integers(1, 4))
+    d = draw(_bounds)
+    entry = st.builds(GF2Poly.from_terms, st.lists(_monos, max_size=3),
+                      st.one_of(st.none(), st.just(d), _bounds))
+    mat = [[draw(entry) for _ in range(r)] for _ in range(r)]
+    return mat, d
+
+
+@given(_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_matches_plain_laplace(case):
+    mat, d = case
+    got = thom._det(mat, d)
+    want = _laplace(mat, d)
+    assert got == want and got.max_degree == want.max_degree
+
+
+def test_gtp_reads_wpoly_at_call_time(monkeypatch):
+    # the packed determinant keeps no cache across calls: a patched entry
+    # source must show in the very next result
+    before = gtp(2, 2)
+    monkeypatch.setattr(thom, "wpoly",
+                        lambda i, bundle="", max_degree=None: wpoly(i + 1, bundle, max_degree))
+    after = gtp(2, 2)
+    assert after != before
+    assert after == wpoly(5) ** 2 + wpoly(4) * wpoly(6)
 
 
 @pytest.mark.parametrize("r,l", [(1, 2), (2, 1), (3, 0), (3, 3)])
