@@ -69,6 +69,31 @@ class TensorLine:
 
 BundleExpr = Union[Named, Trivial, LineBundle, Sum, Diff, TensorLine]
 
+# Deepest bundle expression accepted: nested parentheses and tensor(...) in
+# the text, nodes on a root-to-leaf path of the tree (a chain a + b + ... is
+# as deep as it is long). total_sw recurses up to twice per level, since
+# tensoring distributes through sums, so this stays well inside Python's
+# default recursion limit of 1000.
+MAX_DEPTH = 200
+
+
+def _depth(expr: BundleExpr) -> int:
+    """Nodes on the longest root-to-leaf path, counted without recursion."""
+    deepest = 0
+    stack = [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, (Sum, Diff)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, TensorLine):
+            stack.append((node.inner, depth + 1))
+    return deepest
+
+
+def _too_deep() -> ValueError:
+    return ValueError(f"bundle expression nests deeper than MAX_DEPTH = {MAX_DEPTH}")
+
 
 def tensor_line(tag: str, rank: int, total: GF2Poly, max_degree: Optional[int]) -> GF2Poly:
     """Total class of (line with class t) tensor (genuine rank-`rank` bundle)."""
@@ -96,7 +121,14 @@ def tensor_line(tag: str, rank: int, total: GF2Poly, max_degree: Optional[int]) 
 
 
 def total_sw(expr: BundleExpr, max_degree: Optional[int] = None) -> tuple:
-    """(rank, total Stiefel-Whitney class) of a bundle expression."""
+    """(rank, total Stiefel-Whitney class) of a bundle expression; one
+    nested deeper than MAX_DEPTH is refused."""
+    if _depth(expr) > MAX_DEPTH:
+        raise _too_deep()
+    return _total_sw(expr, max_degree)
+
+
+def _total_sw(expr: BundleExpr, max_degree: Optional[int]) -> tuple:
     if isinstance(expr, Named):
         if expr.rank < 0:
             raise ValueError("named bundle needs rank >= 0")
@@ -113,12 +145,12 @@ def total_sw(expr: BundleExpr, max_degree: Optional[int] = None) -> tuple:
     if isinstance(expr, LineBundle):
         return 1, GF2Poly.one(max_degree) + GF2Poly.gen(linegen(expr.tag), max_degree)
     if isinstance(expr, Sum):
-        r1, t1 = total_sw(expr.left, max_degree)
-        r2, t2 = total_sw(expr.right, max_degree)
+        r1, t1 = _total_sw(expr.left, max_degree)
+        r2, t2 = _total_sw(expr.right, max_degree)
         return r1 + r2, t1 * t2
     if isinstance(expr, Diff):
-        r1, t1 = total_sw(expr.left, max_degree)
-        r2, t2 = total_sw(expr.right, max_degree)
+        r1, t1 = _total_sw(expr.left, max_degree)
+        r2, t2 = _total_sw(expr.right, max_degree)
         if r1 - r2 < 0:
             raise ValueError("difference would have negative rank")
         if max_degree is None:
@@ -127,12 +159,12 @@ def total_sw(expr: BundleExpr, max_degree: Optional[int] = None) -> tuple:
     if isinstance(expr, TensorLine):
         inner = expr.inner
         if isinstance(inner, Sum):
-            return total_sw(Sum(TensorLine(expr.tag, inner.left),
-                                TensorLine(expr.tag, inner.right)), max_degree)
-        if isinstance(inner, Diff):
-            return total_sw(Diff(TensorLine(expr.tag, inner.left),
+            return _total_sw(Sum(TensorLine(expr.tag, inner.left),
                                  TensorLine(expr.tag, inner.right)), max_degree)
-        rank, total = total_sw(inner, max_degree)
+        if isinstance(inner, Diff):
+            return _total_sw(Diff(TensorLine(expr.tag, inner.left),
+                                  TensorLine(expr.tag, inner.right)), max_degree)
+        rank, total = _total_sw(inner, max_degree)
         return rank, tensor_line(expr.tag, rank, total, max_degree)
     raise TypeError(f"not a bundle expression: {expr!r}")
 
@@ -201,7 +233,7 @@ def apply_regime(p: GF2Poly, regime: Regime) -> GF2Poly:
 
 def parse_bundle_expr(text: str, ranks: dict) -> BundleExpr:
     tokens = _tokenize(text)
-    expr, pos = _parse_sum(tokens, 0, ranks)
+    expr, pos = _parse_sum(tokens, 0, ranks, 0)
     if pos != len(tokens):
         raise ValueError(f"trailing input at token {pos}: {tokens[pos:]}")
     return expr
@@ -228,11 +260,14 @@ def _tokenize(text: str) -> list:
     return out
 
 
-def _parse_sum(tokens: list, pos: int, ranks: dict):
-    left, pos = _parse_term(tokens, pos, ranks)
+def _parse_sum(tokens: list, pos: int, ranks: dict, depth: int):
+    # depth counts the enclosing parentheses and tensor(...) groups
+    if depth > MAX_DEPTH:
+        raise _too_deep()
+    left, pos = _parse_term(tokens, pos, ranks, depth)
     while pos < len(tokens) and tokens[pos] in "+-":
         op = tokens[pos]
-        right, pos = _parse_term(tokens, pos + 1, ranks)
+        right, pos = _parse_term(tokens, pos + 1, ranks, depth)
         left = Sum(left, right) if op == "+" else Diff(left, right)
     return left, pos
 
@@ -256,10 +291,10 @@ def _tag(tokens: list, pos: int) -> str:
     return tag
 
 
-def _parse_term(tokens: list, pos: int, ranks: dict):
+def _parse_term(tokens: list, pos: int, ranks: dict, depth: int):
     tok = _token(tokens, pos)
     if tok == "(":
-        expr, pos = _parse_sum(tokens, pos + 1, ranks)
+        expr, pos = _parse_sum(tokens, pos + 1, ranks, depth + 1)
         return expr, _expect(tokens, pos, ")")
     if tok == "eps":
         pos = _expect(tokens, pos + 1, "(")
@@ -275,7 +310,7 @@ def _parse_term(tokens: list, pos: int, ranks: dict):
         pos = _expect(tokens, pos + 1, "(")
         tag = _tag(tokens, pos)
         pos = _expect(tokens, pos + 1, ",")
-        inner, pos = _parse_sum(tokens, pos, ranks)
+        inner, pos = _parse_sum(tokens, pos, ranks, depth + 1)
         return TensorLine(tag, inner), _expect(tokens, pos, ")")
     if tok in ranks:
         return Named(tok, ranks[tok]), pos + 1

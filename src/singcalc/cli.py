@@ -46,6 +46,34 @@ def _max_deg(opt):
 GTP_MAX_R = 10
 
 
+# Rank-only stratification costs 0.4-1.3 ms per grid point at (n,k) = (4,1)
+# to (10,4) on a 2-core machine, so a scan at the bound takes 8-26 s.
+STRATIFY_MAX_POINTS = 20_000
+
+
+def _check_scan_cost(n: int, grid: list, t_grid) -> None:
+    """Refuse, before any work, a stratify scan over more than
+    STRATIFY_MAX_POINTS points: |grid|^n for df, and as many again per t."""
+    passes = 1 + (len(t_grid) if t_grid is not None else 0)
+    points = passes
+    # the power stops growing once it is over the bound, so a huge n is cheap
+    for _ in range(n if len(grid) > 1 else 0):
+        points *= len(grid)
+        if points > STRATIFY_MAX_POINTS:
+            raise click.UsageError(
+                f"the scan would visit |grid|^n x (1 + |t-grid|) = {len(grid)}^{n} x {passes} "
+                f"points, over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
+
+
+def _degree_bound(opt):
+    """The degree bound from --max-deg or SINGCALC_MAX_DEG, refused when
+    negative."""
+    d = _max_deg(opt)
+    if d is not None and d < 0:
+        raise click.UsageError(f"degree bound must be non-negative, got {d}")
+    return d
+
+
 def _class_bound(opt, degree: int, formula: str):
     """The degree bound from --max-deg or SINGCALC_MAX_DEG, refused when it
     would truncate a class that lives in `degree` (formula names it)."""
@@ -133,6 +161,7 @@ def gtp_cmd(r, l, max_deg, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def morin_cmd(r, k, integral, max_deg, as_json):
     """Closed-form class of the Morin locus with r ones."""
+    d = _class_bound(max_deg, r * (k + 1), "r(k+1)")
     if integral:
         c = _run(thom.morin_tp_integral, r, k)
         if as_json:
@@ -142,7 +171,6 @@ def morin_cmd(r, k, integral, max_deg, as_json):
         else:
             click.echo(str(c))
         return
-    d = _class_bound(max_deg, r * (k + 1), "r(k+1)")
     p = _run(thom.morin_tp, r, k, d)
     if as_json:
         click.echo(json.dumps({"command": "morin",
@@ -178,7 +206,7 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
             ranks[name.strip()] = int(val)
         except ValueError:
             raise click.UsageError(f"--rank expects an integer rank, got {spec!r}")
-    d = _max_deg(max_deg)
+    d = _degree_bound(max_deg)
     tree = _run(parse_bundle_expr, expr, ranks)
     rank, total = _run(total_sw, tree, d)
     if regime != "none":
@@ -303,8 +331,8 @@ def jacobian_cmd(n, k, point, t, check_fd, as_json):
     rep.artifacts["jacobian"] = [[str(e) for e in row] for row in hand]
     ad = jacobian_ad(lambda c: germs._tilde_f_coords(n, k, c), p.coords() + [p.t])
     rep.check_equal("closed form equals the dual-number oracle", hand, ad)
-    jr = germs.corank(hand)
-    rep.add("rank", INFO, f"rank {jr.rank}, corank {jr.corank}")
+    rk, cork = germs.rank_corank(hand)
+    rep.add("rank", INFO, f"rank {rk}, corank {cork}")
     if check_fd:
         add_fd_check(rep, n, k, p, hand)
     _emit(rep, as_json)
@@ -345,6 +373,7 @@ def stratify_cmd(n, k, grid, t_grid, as_json):
     against the closed-form singular-locus equations."""
     gvals = _parse_fractions(grid, "grid")
     tvals = None if t_grid is None else _parse_fractions(t_grid, "t-grid")
+    _check_scan_cost(n, gvals, tvals)
     _emit(_run(germs.stratify_grid, n, k, gvals, tvals), as_json)
 
 
@@ -362,6 +391,7 @@ def scan_sigma2_cmd(n, k, grid, t_grid, report_path, as_json):
     profile is reported verbatim, not asserted."""
     gvals = _parse_fractions(grid, "grid")
     tvals = gvals if t_grid is None else _parse_fractions(t_grid, "t-grid")
+    _check_scan_cost(n, gvals, tvals)
     rep = _run(germs.stratify_grid, n, k, gvals, tvals)
     rep.command = "germlab scan-sigma2"
     if report_path:

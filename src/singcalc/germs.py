@@ -291,12 +291,19 @@ class JetReport:
         return out
 
 
-def corank(matrix: Sequence[Sequence]) -> JetReport:
-    """Exact rank/corank with kernel and cokernel bases."""
+def rank_corank(matrix: Sequence[Sequence]) -> Tuple[int, int]:
+    """Exact (rank, corank), corank = min(rows, cols) - rank, without the
+    kernel and cokernel bases; for scans that read only the numbers."""
     rk = bareiss_rank(matrix)
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    return JetReport(rank=rk, corank=min(rows, cols) - rk,
+    return rk, min(rows, cols) - rk
+
+
+def corank(matrix: Sequence[Sequence]) -> JetReport:
+    """Exact rank/corank with kernel and cokernel bases."""
+    rk, cork = rank_corank(matrix)
+    return JetReport(rank=rk, corank=cork,
                      kernel_basis=kernel_basis(matrix),
                      cokernel_basis=cokernel_basis(matrix))
 
@@ -307,7 +314,8 @@ def stratify_grid(n: int, k: int, grid: Sequence,
                   t_values: Optional[Sequence] = None) -> Report:
     """Scan a product grid: corank of df everywhere, cross-checked against
     the closed-form singular-locus equations; optionally the corank profile
-    of d tilde_f over a t-grid (reported, not asserted)."""
+    of d tilde_f over a t-grid (reported, not asserted). Only ranks are
+    computed; no kernel or cokernel basis is built."""
     _validate_dims(n, k)
     vals = [Fraction(g) for g in grid]
     if not vals:
@@ -323,12 +331,12 @@ def stratify_grid(n: int, k: int, grid: Sequence,
     for coords in product(vals, repeat=n):
         count += 1
         p = GermPoint.make(n, k, coords)
-        rep = corank(jacobian_f(n, k, p))
-        if rep.corank >= 1:
+        _, cork = rank_corank(jacobian_f(n, k, p))
+        if cork >= 1:
             singular.append(coords)
-        if rep.corank >= 2:
+        if cork >= 2:
             corank2.append(coords)
-        if (rep.corank >= 1) != on_sigma(n, k, p):
+        if (cork >= 1) != on_sigma(n, k, p):
             mismatch.append(coords)
     fmt = lambda pts: [[str(c) for c in pt] for pt in pts]
     report.params["points_scanned"] = count
@@ -348,9 +356,9 @@ def stratify_grid(n: int, k: int, grid: Sequence,
             counts: dict = {}
             for coords in product(vals, repeat=n):
                 p = GermPoint.make(n, k, coords)
-                rep = corank(jacobian_tilde_f(n, k, p, t=tv))
-                counts[rep.corank] = counts.get(rep.corank, 0) + 1
-                if rep.corank >= 2:
+                _, cork = rank_corank(jacobian_tilde_f(n, k, p, t=tv))
+                counts[cork] = counts.get(cork, 0) + 1
+                if cork >= 2:
                     family_c2.append([str(Fraction(tv))] + [str(c) for c in coords])
             profile[str(Fraction(tv))] = {str(c): v for c, v in sorted(counts.items())}
         report.artifacts["family_corank_profile"] = profile

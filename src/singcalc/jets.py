@@ -4,115 +4,160 @@ rationals, plus a float central-difference fallback.
 A Jet2 tracks f(p), Df(p) and D^2 f(p) through ring operations and division,
 so rational-function formulas differentiate exactly; this is the
 independent oracle the closed-form Jacobians are tested against.
+
+Storage is sparse (the forward mode of Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13, with sparse derivative vectors): the gradient
+is a dict {i: df/dx_i} and the Hessian is its upper triangle
+{(i, j): d2f/dx_i dx_j} with i <= j, so the Hessian is symmetric by
+construction. Missing entries are zero; constants carry empty dicts. A
+jet's dicts are never mutated once it is built, so operations with a plain
+number share them. `grad` and `hess` are dense read-only views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Sequence, Tuple
 
-
-def _zeros(m: int) -> tuple:
-    return tuple(Fraction(0) for _ in range(m))
+_ZERO = Fraction(0)
 
 
-def _zeros2(m: int) -> tuple:
-    return tuple(_zeros(m) for _ in range(m))
+def _num(c):
+    # ints and Fractions combine with Fractions exactly; anything else (a
+    # float, a decimal string) is converted, as a constant jet would be
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
-@dataclass(frozen=True)
+def _scaled(d: dict, c) -> dict:
+    return {key: c * v for key, v in d.items()}
+
+
+def _add_into(out: dict, key, v) -> None:
+    out[key] = out[key] + v if key in out else v
+
+
+def _lin(d1: dict, c1, d2: dict, c2) -> dict:
+    """c1*d1 + c2*d2 as a new dict; a coefficient of 1 costs no products."""
+    out = dict(d1) if c1 == 1 else _scaled(d1, c1)
+    for key, v in d2.items():
+        _add_into(out, key, v if c2 == 1 else c2 * v)
+    return out
+
+
 class Jet2:
-    """Second-order jet in m variables: value, gradient, symmetric Hessian."""
+    """Second-order jet in m variables: value `val`, sparse gradient `g`
+    {i: d_i} and sparse upper-triangle Hessian `h` {(i, j): d_ij}, i <= j."""
 
-    val: Fraction
-    grad: tuple
-    hess: tuple
+    __slots__ = ("val", "g", "h", "m")
+
+    def __init__(self, val: Fraction, g: dict, h: dict, m: int):
+        self.val = val
+        self.g = g
+        self.h = h
+        self.m = m
 
     # construction ----------------------------------------------------------
 
     @staticmethod
     def const(c, m: int) -> "Jet2":
-        return Jet2(Fraction(c), _zeros(m), _zeros2(m))
+        return Jet2(Fraction(c), {}, {}, m)
 
     @staticmethod
     def var(value, index: int, m: int) -> "Jet2":
-        g = [Fraction(0)] * m
-        g[index] = Fraction(1)
-        return Jet2(Fraction(value), tuple(g), _zeros2(m))
+        return Jet2(Fraction(value), {index: Fraction(1)}, {}, m)
+
+    # dense read-only views ---------------------------------------------------
 
     @property
-    def m(self) -> int:
-        return len(self.grad)
+    def grad(self) -> tuple:
+        return tuple(self.g.get(i, _ZERO) for i in range(self.m))
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.const(other, self.m)
+    @property
+    def hess(self) -> tuple:
+        rows = [[_ZERO] * self.m for _ in range(self.m)]
+        for (i, j), v in self.h.items():
+            rows[i][j] = rows[j][i] = v
+        return tuple(tuple(row) for row in rows)
 
     # ring operations --------------------------------------------------------
 
     def __add__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        return Jet2(self.val + o.val,
-                    tuple(a + b for a, b in zip(self.grad, o.grad)),
-                    tuple(tuple(a + b for a, b in zip(ra, rb))
-                          for ra, rb in zip(self.hess, o.hess)))
+        if not isinstance(other, Jet2):
+            return Jet2(self.val + _num(other), self.g, self.h, self.m)
+        return Jet2(self.val + other.val, _lin(self.g, 1, other.g, 1),
+                    _lin(self.h, 1, other.h, 1), self.m)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet2":
-        return Jet2(-self.val, tuple(-a for a in self.grad),
-                    tuple(tuple(-a for a in row) for row in self.hess))
+        return Jet2(-self.val, _scaled(self.g, -1), _scaled(self.h, -1), self.m)
 
     def __sub__(self, other) -> "Jet2":
-        return self + (-self._coerce(other))
+        if not isinstance(other, Jet2):
+            return Jet2(self.val - _num(other), self.g, self.h, self.m)
+        return Jet2(self.val - other.val, _lin(self.g, 1, other.g, -1),
+                    _lin(self.h, 1, other.h, -1), self.m)
 
     def __rsub__(self, other) -> "Jet2":
-        return self._coerce(other) + (-self)
+        return (-self) + other
 
     def __mul__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        grad = tuple(self.val * gb + o.val * ga
-                     for ga, gb in zip(self.grad, o.grad))
-        hess = tuple(tuple(self.val * o.hess[i][j] + o.val * self.hess[i][j]
-                           + self.grad[i] * o.grad[j] + self.grad[j] * o.grad[i]
-                           for j in range(self.m))
-                     for i in range(self.m))
-        return Jet2(self.val * o.val, grad, hess)
+        if not isinstance(other, Jet2):
+            c = _num(other)
+            return Jet2(self.val * c, _scaled(self.g, c), _scaled(self.h, c), self.m)
+        a, b = self.val, other.val
+        # D^2(fg) = f D^2 g + g D^2 f + Df Dg^T + Dg Df^T
+        h = _lin(self.h, b, other.h, a)
+        for i, x in self.g.items():
+            for j, y in other.g.items():
+                xy = x * y
+                if i < j:
+                    _add_into(h, (i, j), xy)
+                elif i > j:
+                    _add_into(h, (j, i), xy)
+                else:
+                    _add_into(h, (i, i), xy + xy)
+        return Jet2(a * b, _lin(self.g, b, other.g, a), h, self.m)
 
     __rmul__ = __mul__
+
+    def _compose(self, f0, f1, f2) -> "Jet2":
+        """phi(self) for a univariate phi with phi = f0, phi' = f1 and
+        phi'' = f2 at self.val: D phi = f1 Df, D^2 phi = f1 D^2 f + f2 Df Df^T."""
+        h = _scaled(self.h, f1)
+        if f2:
+            items = sorted(self.g.items())
+            for a, (i, x) in enumerate(items):
+                fx = f2 * x
+                for j, y in items[a:]:
+                    _add_into(h, (i, j), fx * y)
+        return Jet2(f0, _scaled(self.g, f1), h, self.m)
 
     def inverse(self) -> "Jet2":
         if self.val == 0:
             raise ZeroDivisionError("jet with zero value part")
-        v = self.val
-        grad = tuple(-g / (v * v) for g in self.grad)
-        hess = tuple(tuple(-self.hess[i][j] / (v * v)
-                           + 2 * self.grad[i] * self.grad[j] / (v * v * v)
-                           for j in range(self.m))
-                     for i in range(self.m))
-        return Jet2(1 / v, grad, hess)
+        inv = 1 / self.val
+        inv2 = inv * inv
+        return self._compose(inv, -inv2, 2 * inv2 * inv)
 
     def __truediv__(self, other) -> "Jet2":
-        return self * self._coerce(other).inverse()
+        if not isinstance(other, Jet2):
+            return self * (1 / Fraction(other))
+        return self * other.inverse()
 
     def __rtruediv__(self, other) -> "Jet2":
-        return self._coerce(other) * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, e: int) -> "Jet2":
         if not isinstance(e, int):
             raise TypeError("jet powers must be integers")
         if e < 0:
             return self.inverse() ** (-e)
-        acc = Jet2.const(1, self.m)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        if e == 0:
+            return Jet2.const(1, self.m)
+        v = self.val
+        f2 = e * (e - 1) * v ** (e - 2) if e >= 2 else 0
+        return self._compose(v ** e, e * v ** (e - 1), f2)
 
 
 def seed(point: Sequence) -> List[Jet2]:

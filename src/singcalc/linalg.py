@@ -22,7 +22,7 @@ def _cleared_int_rows(mat: Sequence[Sequence]) -> List[List[int]]:
     out = []
     for row in _as_fraction_rows(mat):
         mult = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * mult) for v in row])
+        out.append([v.numerator * (mult // v.denominator) for v in row])
     return out
 
 

@@ -308,14 +308,14 @@ def _sec_germ_corank(d):
     profile = {}
     for n, k in ((4, 1), (5, 1), (6, 2)):
         for p in _origin_points(n, k):
-            jr = germs.corank(germs.jacobian_tilde_f(n, k, p, t=0))
+            _, cork = germs.rank_corank(germs.jacobian_tilde_f(n, k, p, t=0))
             rep.check_equal(
                 f"family corank at the (n,k)=({n},{k}) cusp point, t=0, "
-                f"s={[str(c) for c in p.s]}", jr.corank, 2)
+                f"s={[str(c) for c in p.s]}", cork, 2)
             coranks = {}
             for tv in (Fraction(1, 2), Fraction(-1), Fraction(3)):
-                jt = germs.corank(germs.jacobian_tilde_f(n, k, p, t=tv))
-                coranks[str(tv)] = jt.corank
+                _, cork_t = germs.rank_corank(germs.jacobian_tilde_f(n, k, p, t=tv))
+                coranks[str(tv)] = cork_t
             profile[f"({n},{k}) s={[str(c) for c in p.s]}"] = coranks
     rep.artifacts["corank_profile_t_nonzero"] = profile
     rep.add("corank profile at t != 0", INFO,

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from singcalc.bundles import (Diff, LineBundle, MorinNu1, Named, Prim, Sum,
-                              TensorLine, Trivial, TwistedPrim, apply_regime,
+from singcalc.bundles import (MAX_DEPTH, Diff, LineBundle, MorinNu1, Named, Prim,
+                              Sum, TensorLine, Trivial, TwistedPrim, apply_regime,
                               parse_bundle_expr, tensor_line, total_sw)
 from singcalc.gf2 import GF2Poly, linegen, linepoly, wpoly
 
@@ -131,6 +131,26 @@ def test_parser_errors():
                  "tensor((, nu_f)", "eps(-3)", "eps(x)", "eps(3_0)"):
         with pytest.raises(ValueError):
             parse_bundle_expr(text, ranks)
+
+
+def test_nesting_deeper_than_the_bound_is_refused():
+    ranks = {"nu_f": 4}
+    at_bound = "(" * MAX_DEPTH + "nu_f" + ")" * MAX_DEPTH
+    assert parse_bundle_expr(at_bound, ranks) == Named("nu_f", 4)
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        parse_bundle_expr("(" + at_bound + ")", ranks)
+    # trees built directly are measured without recursion before expanding
+    tree = Named("nu_f", 4)
+    for _ in range(MAX_DEPTH - 1):
+        tree = TensorLine("t", tree)
+    assert total_sw(tree, 6)[0] == 4
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        total_sw(Sum(tree, LineBundle("u")), 6)
+    chain = LineBundle("u")
+    for _ in range(5 * MAX_DEPTH):
+        chain = Diff(chain, Trivial(0))
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        total_sw(chain, 6)
 
 
 GRAMMAR_TOKENS = ["eps", "line", "tensor", "nu_f", "TM", "t", "u", "x", "0", "3",

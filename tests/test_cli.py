@@ -6,7 +6,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import singcalc.bundles as bundles
 import singcalc.cli as cli
+import singcalc.germs as germs
 import singcalc.gysin as gysin
 import singcalc.thom as thom
 from singcalc.reports import FAIL, Report
@@ -107,6 +109,50 @@ def test_gtp_cost_guard_refuses_before_any_work(runner, monkeypatch):
     # at the bound itself the command gets as far as the determinant
     res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(cli.GTP_MAX_R), "--l", "0"])
     assert isinstance(res.exception, AssertionError)
+
+
+def test_total_sw_refuses_a_negative_degree_bound(runner):
+    for extra in ([], ["--json"]):
+        res = runner.invoke(cli.tpcalc, ["total-sw", "nu_f", "--max-deg", "-1"] + extra)
+        assert res.exit_code == 2
+        assert "degree bound must be non-negative, got -1" in res.output
+        res = runner.invoke(cli.tpcalc, ["total-sw", "nu_f"] + extra,
+                            env={"SINGCALC_MAX_DEG": "-5"})
+        assert res.exit_code == 2
+        assert "got -5" in res.output
+    # zero is a bound like any other: only the constant survives
+    res = runner.invoke(cli.tpcalc, ["total-sw", "nu_f", "--max-deg", "0"])
+    assert (res.exit_code, res.output) == (0, "rank 8\n1\n")
+
+
+@pytest.mark.parametrize("bound", ["-1", "7"])
+def test_morin_integral_checks_the_degree_bound(runner, bound):
+    args = ["morin", "--r", "2", "--k", "3", "--integral"]
+    res = runner.invoke(cli.tpcalc, args + ["--max-deg", bound])
+    assert res.exit_code == 2
+    assert "r(k+1) = 8" in res.output
+    res = runner.invoke(cli.tpcalc, args, env={"SINGCALC_MAX_DEG": bound})
+    assert res.exit_code == 2
+    assert "r(k+1) = 8" in res.output
+    # at the class degree the integral class prints unchanged
+    res = runner.invoke(cli.tpcalc, args + ["--max-deg", "8"])
+    assert (res.exit_code, res.output) == (0, "p2 + tors[w3*w5]\n")
+
+
+def test_total_sw_nesting_depth_is_bounded(runner):
+    bound = f"MAX_DEPTH = {bundles.MAX_DEPTH}"
+    for expr in ("(" * 600 + "nu_f" + ")" * 600,
+                 "tensor(t, " * 600 + "nu_f" + ")" * 600,
+                 " + ".join(["eps(1)"] * 600)):
+        res = runner.invoke(cli.tpcalc, ["total-sw", expr])
+        assert res.exit_code == 2
+        assert bound in res.output
+    plain = runner.invoke(cli.tpcalc, ["total-sw", "nu_f"]).output
+    res = runner.invoke(cli.tpcalc, ["total-sw", "(" * 100 + "nu_f" + ")" * 100])
+    assert (res.exit_code, res.output) == (0, plain)
+    res = runner.invoke(cli.tpcalc, ["total-sw", "tensor(t, " * 100 + "line(u)" + ")" * 100])
+    assert res.exit_code == 0
+    assert res.output.startswith("rank 1\n")
 
 
 def test_total_sw_expression(runner):
@@ -278,6 +324,37 @@ def test_stratify(runner):
     payload = json.loads(res.output)
     assert payload["status"] == "pass"
     assert len(payload["artifacts"]["singular_points"]) == 3
+
+
+def test_stratify_cost_guard_refuses_before_any_work(runner, monkeypatch):
+    def no_scan(n, k, p):
+        raise AssertionError("the scan must not start")
+
+    monkeypatch.setattr(germs, "jacobian_f", no_scan)
+    bound = f"STRATIFY_MAX_POINTS = {cli.STRATIFY_MAX_POINTS}"
+    # ten grid values at n = 4 are 10^4 points per pass, df's and one per t
+    grid = ",".join(str(v) for v in range(10))
+    passes = cli.STRATIFY_MAX_POINTS // 10 ** 4
+    assert passes >= 2
+    fits = ",".join(str(v) for v in range(passes - 1))
+    over = ",".join(str(v) for v in range(passes))
+    base = ["--n", "4", "--k", "1", "--grid", grid]
+    for cmd in ("stratify", "scan-sigma2"):
+        res = runner.invoke(cli.germlab, [cmd] + base + ["--t-grid", over])
+        assert res.exit_code == 2
+        assert bound in res.output
+        # at the bound itself the command gets as far as the scan
+        res = runner.invoke(cli.germlab, [cmd] + base + ["--t-grid", fits])
+        assert isinstance(res.exception, AssertionError)
+    # scan-sigma2's t-grid defaults to the grid: 10^4 x 11 points
+    res = runner.invoke(cli.germlab, ["scan-sigma2"] + base)
+    assert res.exit_code == 2
+    assert "10^4 x 11" in res.output
+    # the estimate stays cheap for an absurd dimension
+    res = runner.invoke(cli.germlab, ["stratify", "--n", str(10 ** 9), "--k", "1",
+                                      "--grid", "0,1"])
+    assert res.exit_code == 2
+    assert bound in res.output
 
 
 def test_scan_sigma2_report_file(runner, tmp_path):

@@ -3,6 +3,7 @@ exact-rational Jacobian and transversality checks."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -190,6 +191,43 @@ def test_stratify_grid_family_profile():
                     "1": {"0": 66, "1": 15}}
     c2 = rep.artifacts["family_corank2_points"]
     assert c2 == [["0", "0", "0", "0", "0"]]  # t first, then coordinates
+
+
+@pytest.mark.parametrize("n,k,grid,t_values", [
+    (4, 1, [Fraction(-1), Fraction(0), Fraction(1, 2)],
+     [Fraction(0), Fraction(1), Fraction(-1, 3)]),
+    (6, 2, [Fraction(0), Fraction(-2, 3)], [Fraction(0), Fraction(3)]),
+])
+def test_stratify_grid_report_equals_full_corank_at_every_point(n, k, grid, t_values):
+    # the scan computes ranks only; rebuild its artifacts from full corank()
+    # reports, whose rank is also read off the sizes of their bases
+    def full(matrix):
+        jr = corank(matrix)
+        rows, cols = len(matrix), len(matrix[0])
+        assert jr.rank == cols - len(jr.kernel_basis) == rows - len(jr.cokernel_basis)
+        return jr.corank
+
+    fmt = lambda coords: [str(c) for c in coords]
+    singular, corank2, family_c2 = [], [], []
+    for coords in product(grid, repeat=n):
+        c = full(jacobian_f(n, k, GermPoint.make(n, k, coords)))
+        if c >= 1:
+            singular.append(fmt(coords))
+        if c >= 2:
+            corank2.append(fmt(coords))
+    profile = {}
+    for t in t_values:
+        counts = profile.setdefault(str(t), {})
+        for coords in product(grid, repeat=n):
+            c = full(jacobian_tilde_f(n, k, GermPoint.make(n, k, coords), t=t))
+            counts[str(c)] = counts.get(str(c), 0) + 1
+            if c >= 2:
+                family_c2.append([str(t)] + fmt(coords))
+    rep = stratify_grid(n, k, grid, t_values)
+    assert rep.status == "pass"
+    assert rep.artifacts == {"singular_points": singular, "corank2_points": corank2,
+                             "family_corank_profile": profile,
+                             "family_corank2_points": family_c2}
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 2)])
