@@ -169,6 +169,37 @@ def _total_sw(expr: BundleExpr, max_degree: Optional[int]) -> tuple:
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
+def total_sw_cost(expr: BundleExpr) -> int:
+    """Estimate the monomial products an untruncated total_sw of expr
+    forms: the term count of every leaf's total, plus, at every sum or
+    difference, the product of its two sides' term bounds.
+
+    A side's term bound is the product of its leaves' term counts. A leaf
+    of rank m under s distinct tensoring tags has terms t^a * w_b (or t^a
+    * l) of degree at most m, C(m + s + 1, s + 1) of them at most: m + 1
+    untensored; a trivial leaf has no w_b, so C(m + s, s).
+    """
+    if _depth(expr) > MAX_DEPTH:
+        raise _too_deep()
+
+    def walk(node: BundleExpr, tags: frozenset) -> tuple:  # (terms, products)
+        if isinstance(node, (Sum, Diff)):
+            t1, c1 = walk(node.left, tags)
+            t2, c2 = walk(node.right, tags)
+            return t1 * t2, c1 + c2 + t1 * t2
+        if isinstance(node, TensorLine):
+            return walk(node.inner, tags | {node.tag})
+        s = len(tags)
+        if isinstance(node, Trivial):
+            terms = comb(max(node.rank, 0) + s, s)
+        else:
+            rank = 1 if isinstance(node, LineBundle) else max(node.rank, 0)
+            terms = comb(rank + s + 1, s + 1)
+        return terms, terms
+
+    return walk(expr, frozenset())[1]
+
+
 # ---------------------------------------------------------------------------
 # regimes
 

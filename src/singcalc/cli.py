@@ -5,9 +5,11 @@ coincidence/pushforward verifiers, and the whole suite. germlab: the exact
 germ computations (sigma, Jacobians, corank stratification, transversality).
 
 Exit codes: 0 when every asserted identity holds, 1 when a verifier reports
-a failed identity (witnesses in the report), 2 on usage errors. The default
-degree bound 4(k+1) can be overridden per-call with --max-deg or globally
-with the environment variable SINGCALC_MAX_DEG.
+a failed identity (witnesses in the report), 2 on usage errors. The degree
+bound comes from --max-deg or the environment variable SINGCALC_MAX_DEG.
+gtp, morin and total-sw do not truncate without one. The verifiers have a
+default of their own, 4(k+1) for most, and raise any bound to the degree
+their identity lives in.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from fractions import Fraction
 
 import click
 
-from . import germs, thom
-from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, parse_bundle_expr, total_sw
+from . import bundles, germs, thom
+from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, parse_bundle_expr
 from .gf2 import poly_to_json
 from .integral import iclass_to_json
 from .jets import jacobian_ad
@@ -28,16 +30,29 @@ from .reports import FAIL, INFO, Report
 from .suite import SECTION_NAMES, VERIFIERS, Verifier, add_fd_check, failures, run_suite
 
 
-def _max_deg(opt):
-    if opt is not None:
-        return opt
-    env = os.environ.get("SINGCALC_MAX_DEG")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise click.UsageError(f"SINGCALC_MAX_DEG must be an integer, got {env!r}")
+def _resolve_max_deg(opt, degree=None, formula=None):
+    """The degree bound from --max-deg, else SINGCALC_MAX_DEG, else None.
+
+    A non-integer or negative bound is refused; so is one below `degree`,
+    when given, the degree the class lives in (formula names it), since the
+    class would print as 0. This is the one place the CLI reads the bound.
+    """
+    d = opt
+    if d is None:
+        env = os.environ.get("SINGCALC_MAX_DEG")
+        if env is None:
+            return None
+        try:
+            d = int(env)
+        except ValueError:
+            raise click.UsageError(f"SINGCALC_MAX_DEG must be an integer, got {env!r}")
+    if d < 0:
+        where = "" if degree is None else f"; the class lives in degree {formula} = {degree}"
+        raise click.UsageError(f"degree bound must be non-negative, got {d}{where}")
+    if degree is not None and d < degree:
+        raise click.UsageError(f"degree bound {d} is below the class degree "
+                               f"{formula} = {degree}; the class would print as 0")
+    return d
 
 
 # The 2^r-state determinant memo grows about 6-8x per step in r: gtp takes
@@ -65,28 +80,11 @@ def _check_scan_cost(n: int, grid: list, t_grid) -> None:
                 f"points, over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
 
 
-def _degree_bound(opt):
-    """The degree bound from --max-deg or SINGCALC_MAX_DEG, refused when
-    negative."""
-    d = _max_deg(opt)
-    if d is not None and d < 0:
-        raise click.UsageError(f"degree bound must be non-negative, got {d}")
-    return d
-
-
-def _class_bound(opt, degree: int, formula: str):
-    """The degree bound from --max-deg or SINGCALC_MAX_DEG, refused when it
-    would truncate a class that lives in `degree` (formula names it)."""
-    d = _max_deg(opt)
-    if d is None:
-        return None
-    if d < 0:
-        raise click.UsageError(f"degree bound must be non-negative, got {d}; "
-                               f"the class lives in degree {formula} = {degree}")
-    if d < degree:
-        raise click.UsageError(f"degree bound {d} is below the class degree "
-                               f"{formula} = {degree}; the class would print as 0")
-    return d
+# bundles.total_sw_cost estimates the monomial products of an untruncated
+# total-sw. On a 2-core machine a sum of five rank-8 bundles (66 465
+# products, 59 049 terms) prints in 2 s, or in 4 s and 170 MB with --json; a
+# sum of 200 rank-8 bundles runs for minutes and takes hundreds of MB.
+TOTAL_SW_MAX_PRODUCTS = 100_000
 
 
 def _run(fn, *args, **kwargs):
@@ -143,7 +141,7 @@ def gtp_cmd(r, l, max_deg, as_json):
     if r > GTP_MAX_R:
         raise click.UsageError(f"--r {r} exceeds the cost bound GTP_MAX_R = {GTP_MAX_R}: "
                                "the determinant memo has 2^r states")
-    d = _class_bound(max_deg, r * (l + r), "r(l+r)")
+    d = _resolve_max_deg(max_deg, r * (l + r), "r(l+r)")
     p = _run(thom.gtp, r, l, d)
     if as_json:
         click.echo(json.dumps({"command": "gtp",
@@ -161,7 +159,7 @@ def gtp_cmd(r, l, max_deg, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def morin_cmd(r, k, integral, max_deg, as_json):
     """Closed-form class of the Morin locus with r ones."""
-    d = _class_bound(max_deg, r * (k + 1), "r(k+1)")
+    d = _resolve_max_deg(max_deg, r * (k + 1), "r(k+1)")
     if integral:
         c = _run(thom.morin_tp_integral, r, k)
         if as_json:
@@ -206,9 +204,14 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
             ranks[name.strip()] = int(val)
         except ValueError:
             raise click.UsageError(f"--rank expects an integer rank, got {spec!r}")
-    d = _degree_bound(max_deg)
+    d = _resolve_max_deg(max_deg)
     tree = _run(parse_bundle_expr, expr, ranks)
-    rank, total = _run(total_sw, tree, d)
+    if d is None and _run(bundles.total_sw_cost, tree) > TOTAL_SW_MAX_PRODUCTS:
+        raise click.UsageError(
+            "the untruncated total class would take more monomial products than "
+            f"the cost bound TOTAL_SW_MAX_PRODUCTS = {TOTAL_SW_MAX_PRODUCTS}; "
+            "pass --max-deg to truncate it")
+    rank, total = _run(bundles.total_sw, tree, d)
     if regime != "none":
         if k is None:
             raise click.UsageError(f"--regime {regime} needs --k")
@@ -234,7 +237,7 @@ def verify():
 def _verify_command(v: Verifier, name: str) -> click.Command:
     def callback(max_deg, as_json, **kwargs):
         args = [kwargs[p] for p in v.params]
-        _emit(_run(v.resolve(), *args, _max_deg(max_deg)), as_json)
+        _emit(_run(v.resolve(), *args, _resolve_max_deg(max_deg)), as_json)
 
     params = [click.Option([f"--{p}"], type=int, required=True) for p in v.params]
     params += [click.Option(["--max-deg"], type=int, default=None),
@@ -257,7 +260,7 @@ def suite_cmd(sections, max_deg, as_json):
     names = None
     if sections is not None:
         names = [s.strip() for s in sections.split(",") if s.strip()]
-    reports = _run(run_suite, names, _max_deg(max_deg))
+    reports = _run(run_suite, names, _resolve_max_deg(max_deg))
     bad = failures(reports)
     if as_json:
         click.echo(json.dumps(

@@ -145,6 +145,13 @@ def _bound_min(a: Optional[int], b: Optional[int]) -> Optional[int]:
     return min(a, b)
 
 
+def verifier_bound(max_degree: Optional[int], default: int, degree: int) -> int:
+    """The bound a verifier computes to: the caller's (default when None),
+    raised to the degree its identity lives in, so that no bound can make
+    the identity hold vacuously."""
+    return max(default if max_degree is None else max_degree, degree)
+
+
 @dataclass(frozen=True)
 class GF2Poly:
     """Polynomial over GF(2): a frozenset of monomials, optionally truncated.

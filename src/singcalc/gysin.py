@@ -18,7 +18,7 @@ from typing import Optional
 
 from .bundles import Named, total_sw
 from .gf2 import (GF2Poly, inverse_total, linegen, mono, mono_degree,
-                  mono_mul, poly_to_json, wgen, wpoly)
+                  mono_mul, poly_to_json, verifier_bound, wgen, wpoly)
 from .reports import INFO, Report
 
 TAUT_TAG = "a"
@@ -103,7 +103,7 @@ def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None)
     if n < 1 or k < 0 or r < 0:
         raise ValueError("need n >= 1, k >= 0, r >= 0")
     needed = k + r + 1
-    d = max(max_degree if max_degree is not None else 0, needed)
+    d = verifier_bound(max_degree, needed, needed)
     report = Report("verify lemma-pushforward", {"n": n, "k": k, "r": r, "max_degree": d})
     lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, d)
     lhs = lhs.homogeneous_part(needed)

@@ -86,27 +86,28 @@ VERIFIERS = (
 
 # determinant family ---------------------------------------------------------
 
-def _permanent_oracle(r: int, l: int, max_degree=None) -> GF2Poly:
+def _permanent_oracle(r: int, l: int) -> GF2Poly:
     # mod 2 the determinant is the permanent, so the permutation sum is an
     # expansion-free second route; entry indices are recomputed here on
     # purpose, independently of the matrix builder
-    acc = GF2Poly.zero(max_degree)
+    acc = GF2Poly.zero()
     for perm in permutations(range(1, r + 1)):
-        term = GF2Poly.one(max_degree)
+        term = GF2Poly.one()
         for i, j in enumerate(perm, start=1):
             idx = l + r + j - i
-            term = term * (wpoly(idx, "", max_degree) if idx >= 0
-                           else GF2Poly.zero(max_degree))
+            term = term * (wpoly(idx) if idx >= 0 else GF2Poly.zero())
         acc = acc + term
     return acc
 
 
 def _sec_gtp_oracle(d):
+    # the classes compared live in degree r(l+r) <= 40 and are cheap in
+    # full, so they are compared untruncated whatever the bound
     rep = Report("suite.gtp-oracle", {"r": "1..4", "l": "0..6"})
     bad = []
     for r in range(1, 5):
         for l in range(0, 7):
-            if thom.gtp(r, l, d) != _permanent_oracle(r, l, d):
+            if thom.gtp(r, l) != _permanent_oracle(r, l):
                 bad.append({"r": r, "l": l})
     if bad:
         rep.add("determinant equals the permutation-sum oracle", FAIL,

@@ -16,7 +16,7 @@ from typing import List, Optional
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
 from .bundles import LineBundle, Named, Sum
 from .gf2 import (GF2Poly, Packing, _bound_min, linegen, mono, mono_degree, poly_to_json,
-                  wgen, wpoly)
+                  verifier_bound, wgen, wpoly)
 from .gysin import i_push
 from .integral import IntegralClass, IntPoly, iclass_to_json, v_class
 from .reports import INFO, SKIPPED, Report
@@ -135,7 +135,7 @@ def verify_gtp_convention(max_degree: Optional[int] = None) -> Report:
     itself; this check anchors it to the documented r=3, l=1 table and to
     the corank-2 instance that fixes the convention.
     """
-    d = max_degree if max_degree is not None else 8
+    d = verifier_bound(max_degree, 8, 8)
     report = Report("verify gtp-convention", {"max_degree": d})
     mat = gtp_matrix(3, 1, d)
     expected = [[4, 5, 6], [3, 4, 5], [2, 3, 4]]
@@ -158,7 +158,7 @@ def verify_cusp_coincidence(k: int, max_degree: Optional[int] = None) -> Report:
     and both equal w_{k+1}^2 + w_k*w_{k+2}; integrally as well for odd k."""
     if k < 1:
         raise ValueError("need k >= 1")
-    d = max(max_degree if max_degree is not None else default_degree(k), 2 * k + 2)
+    d = verifier_bound(max_degree, default_degree(k), 2 * k + 2)
     report = Report("verify cusp", {"k": k, "max_degree": d})
     lhs = gtp(2, k - 1, d)
     rhs = morin_tp(2, k, d)
@@ -186,8 +186,7 @@ def verify_prim_coincidence(r: int, k: int,
     for odd k, even r)."""
     if r < 1 or k < r - 1:
         raise ValueError("need r >= 1 and k >= r-1")
-    d = max(max_degree if max_degree is not None else default_degree(k),
-            r * (k + 1))
+    d = verifier_bound(max_degree, default_degree(k), r * (k + 1))
     report = Report("verify prim", {"r": r, "k": k, "max_degree": d})
     regime = Prim(k)
     target = wpoly(k + 1, "", d) ** r
@@ -223,7 +222,7 @@ def verify_twisted_coincidence(k: int, max_degree: Optional[int] = None,
                          "available for r=2 only")
     if k < 1 or k % 2 == 0:
         raise ValueError("need odd k >= 1")
-    d = max(max_degree if max_degree is not None else default_degree(k), 2 * k + 2)
+    d = verifier_bound(max_degree, default_degree(k), 2 * k + 2)
     report = Report("verify twisted", {"k": k, "r": r, "max_degree": d})
     mor = morin_tp_integral(2, k)
     cor = sigma2_integral(k)
@@ -277,8 +276,7 @@ def verify_morin_derivation(r: int, k: int,
     projection formula t^m * X -> w_{k+m+1} * X after pair absorption."""
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
-    d = max(max_degree if max_degree is not None else default_degree(k),
-            r * (k + 1))
+    d = verifier_bound(max_degree, default_degree(k), r * (k + 1))
     tag = "t"
     report = Report("verify morin-derivation", {"r": r, "k": k, "max_degree": d})
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from singcalc.bundles import (MAX_DEPTH, Diff, LineBundle, MorinNu1, Named, Prim,
                               Sum, TensorLine, Trivial, TwistedPrim, apply_regime,
-                              parse_bundle_expr, tensor_line, total_sw)
+                              parse_bundle_expr, tensor_line, total_sw, total_sw_cost)
 from singcalc.gf2 import GF2Poly, linegen, linepoly, wpoly
 
 D = 10
@@ -163,6 +163,30 @@ def test_parser_returns_or_raises_value_error(text):
         parse_bundle_expr(text, {"nu_f": 4, "TM": 3})
     except ValueError:
         pass
+
+
+@pytest.mark.parametrize("text,cost", [
+    ("nu_f", 9), ("eps(5)", 1), ("line(t)", 2),
+    ("nu_f + TM", 9 + 9 + 81), ("eps(2) + nu_f", 1 + 9 + 9),
+    ("tensor(t, nu_f)", 45), ("tensor(u, tensor(t, nu_f))", 165),
+    ("tensor(t, tensor(t, nu_f))", 45), ("tensor(t, eps(5))", 6),
+    ("tensor(u, tensor(t, eps(5)))", 21), ("tensor(u, tensor(t, line(v)))", 4),
+    ("tensor(t, nu_f + line(u))", 45 + 3 + 45 * 3),
+])
+def test_total_sw_cost_bounds_the_terms(text, cost):
+    tree = parse_bundle_expr(text, {"nu_f": 8, "TM": 8})
+    assert total_sw_cost(tree) == cost
+    # the leaves' term counts bound the terms of the untruncated total
+    assert len(total_sw(tree)[1].terms) <= cost
+
+
+def test_total_sw_cost_refuses_deep_trees_cheaply():
+    deep = Named("nu_f", 8)
+    for _ in range(MAX_DEPTH):
+        deep = Sum(deep, Named("nu_f", 8))
+    with pytest.raises(ValueError, match="MAX_DEPTH"):
+        total_sw_cost(deep)
+    assert total_sw_cost(Named("nu_f", 10 ** 12)) == 10 ** 12 + 1
 
 
 def test_kernel_line_relation_shape():

@@ -125,6 +125,29 @@ def test_total_sw_refuses_a_negative_degree_bound(runner):
     assert (res.exit_code, res.output) == (0, "rank 8\n1\n")
 
 
+def test_total_sw_cost_guard_refuses_before_any_work(runner, monkeypatch):
+    def no_total(tree, max_degree=None):
+        raise AssertionError("total_sw must not run")
+
+    monkeypatch.setattr(bundles, "total_sw", no_total)
+    bound = f"TOTAL_SW_MAX_PRODUCTS = {cli.TOTAL_SW_MAX_PRODUCTS}"
+    rank_of = {n: 8 for n in "ABCDE"}
+    ranks = [arg for n in rank_of for arg in ("--rank", f"{n}=8")]
+    fits, over = "A + B + C + D + E", "A + B + C + D + E + eps(1)"
+    assert (bundles.total_sw_cost(bundles.parse_bundle_expr(fits, rank_of))
+            <= cli.TOTAL_SW_MAX_PRODUCTS
+            < bundles.total_sw_cost(bundles.parse_bundle_expr(over, rank_of)))
+    for expr in (over, " + ".join(["nu_f"] * 200)):
+        res = runner.invoke(cli.tpcalc, ["total-sw", expr] + ranks)
+        assert res.exit_code == 2
+        assert bound in res.output
+    # under the bound, or with a degree bound, the command gets as far as total_sw
+    for args in ([fits] + ranks, [over, "--max-deg", "4"] + ranks, ["nu_f"],
+                 ["tensor(t, line(u))"]):
+        res = runner.invoke(cli.tpcalc, ["total-sw"] + args)
+        assert isinstance(res.exception, AssertionError), args
+
+
 @pytest.mark.parametrize("bound", ["-1", "7"])
 def test_morin_integral_checks_the_degree_bound(runner, bound):
     args = ["morin", "--r", "2", "--k", "3", "--integral"]

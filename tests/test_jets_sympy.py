@@ -114,7 +114,10 @@ def _evaluate(tree, var, const):
         if isinstance(base, int):  # a negative power of an int is a float
             base = Fraction(base)
         return base ** tree[2]
-    return _BINARY[kind](_evaluate(tree[1], var, const), _evaluate(tree[2], var, const))
+    left, right = _evaluate(tree[1], var, const), _evaluate(tree[2], var, const)
+    if isinstance(left, int) and isinstance(right, int):  # int / int is a float
+        left = Fraction(left)
+    return _BINARY[kind](left, right)
 
 
 @settings(max_examples=150, deadline=None)
