@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
-from .gf2 import GF2Poly, inverse_total, linegen, mono, wgen
+from .gf2 import ONE_MONO, GF2Poly, inverse_total, linegen, mono, wgen
 
 STABLE_BUNDLE_NAME = "nu_f"  # its classes are the anonymous w_i
 
@@ -134,10 +134,9 @@ def _total_sw(expr: BundleExpr, max_degree: Optional[int]) -> tuple:
             raise ValueError("named bundle needs rank >= 0")
         bundle = "" if expr.name == STABLE_BUNDLE_NAME else expr.name
         top = expr.rank if max_degree is None else min(expr.rank, max_degree)
-        total = GF2Poly.one(max_degree)
-        for i in range(1, top + 1):
-            total = total + GF2Poly.gen(wgen(i, bundle), max_degree)
-        return expr.rank, total
+        # 1 + w_1 + ... + w_top as one set, so the work is linear in the rank
+        terms = [ONE_MONO] + [((wgen(i, bundle), 1),) for i in range(1, top + 1)]
+        return expr.rank, GF2Poly(frozenset(terms), max_degree)
     if isinstance(expr, Trivial):
         if expr.rank < 0:
             raise ValueError("trivial bundle needs rank >= 0")
@@ -169,33 +168,90 @@ def _total_sw(expr: BundleExpr, max_degree: Optional[int]) -> tuple:
     raise TypeError(f"not a bundle expression: {expr!r}")
 
 
-def total_sw_cost(expr: BundleExpr) -> int:
-    """Estimate the monomial products an untruncated total_sw of expr
-    forms: the term count of every leaf's total, plus, at every sum or
-    difference, the product of its two sides' term bounds.
+# Counting the monomials of degree <= e in g generators fills g * (e + 1)
+# table cells; one total_sw_cost call fills at most this many.
+COUNT_MAX_CELLS = 1_000_000
 
-    A side's term bound is the product of its leaves' term counts. A leaf
-    of rank m under s distinct tensoring tags has terms t^a * w_b (or t^a
-    * l) of degree at most m, C(m + s + 1, s + 1) of them at most: m + 1
-    untensored; a trivial leaf has no w_b, so C(m + s, s).
+
+def _monomials_up_to(tops: dict, tags: frozenset, e: int) -> int:
+    """Monomials of degree <= e in w_1..w_top of each bundle (name -> top)
+    and the line classes of the tags: a coin-change count over the
+    generators' degrees."""
+    count = [1] + [0] * e
+    degrees = [g for top in tops.values() for g in range(1, min(top, e) + 1)]
+    for g in degrees + [1] * len(tags):
+        for j in range(g, e + 1):
+            count[j] += count[j - g]
+    return sum(count)
+
+
+def total_sw_cost(expr: BundleExpr, max_degree: Optional[int] = None) -> Union[int, float]:
+    """Estimate the monomial products total_sw(expr, max_degree) forms: the
+    term count of every leaf's total, plus, at every sum or difference, the
+    product of its two sides' term bounds.
+
+    A leaf of rank m under s distinct tensoring tags has terms t^a * w_b (or
+    t^a * l) of degree at most m, C(m + s + 1, s + 1) of them at most: m + 1
+    untensored; a trivial leaf has no w_b, so C(m + s, s). A side's term
+    bound is the product of its leaves' term counts.
+
+    With a bound d, a leaf counts its terms of degree <= min(m, d) only,
+    and a side's term bound is also at most the number of monomials of
+    degree <= d in the side's generators (_monomials_up_to). A difference
+    inverts its right side's total to degree d, an inverse with at most that
+    many terms for the right side's generators, and multiplies the left side
+    by it; each step is charged the inverse's terms times its other factor's.
+    Once the counting would fill more than COUNT_MAX_CELLS cells, a sum
+    keeps its product bound and a difference costs inf: the estimate never
+    drops below the work.
     """
     if _depth(expr) > MAX_DEPTH:
         raise _too_deep()
+    d = max_degree
+    cells_left = COUNT_MAX_CELLS
 
-    def walk(node: BundleExpr, tags: frozenset) -> tuple:  # (terms, products)
-        if isinstance(node, (Sum, Diff)):
-            t1, c1 = walk(node.left, tags)
-            t2, c2 = walk(node.right, tags)
-            return t1 * t2, c1 + c2 + t1 * t2
+    def count(tops: dict, tags: frozenset, e: int) -> Optional[int]:
+        nonlocal cells_left
+        cells = (sum(min(top, e) for top in tops.values()) + len(tags)) * (e + 1)
+        if cells > cells_left:
+            return None
+        cells_left -= cells
+        return _monomials_up_to(tops, tags, e)
+
+    def walk(node: BundleExpr, tags: frozenset) -> tuple:
+        # (terms, products, bundle tops, line tags, degree ceiling)
         if isinstance(node, TensorLine):
             return walk(node.inner, tags | {node.tag})
-        s = len(tags)
-        if isinstance(node, Trivial):
-            terms = comb(max(node.rank, 0) + s, s)
-        else:
+        if not isinstance(node, (Sum, Diff)):
+            s = len(tags)
             rank = 1 if isinstance(node, LineBundle) else max(node.rank, 0)
-            terms = comb(rank + s + 1, s + 1)
-        return terms, terms
+            m = rank if d is None else min(rank, max(d, 0))
+            terms = comb(m + s, s) if isinstance(node, Trivial) else comb(m + s + 1, s + 1)
+            tops = {node.name: m} if isinstance(node, Named) else {}
+            own = tags | {node.tag} if isinstance(node, LineBundle) else tags
+            return terms, terms, tops, own, rank
+        t1, c1, tops1, tags1, r1 = walk(node.left, tags)
+        t2, c2, tops2, tags2, r2 = walk(node.right, tags)
+        tops, both = {**tops1, **tops2}, tags1 | tags2
+        if d is None or isinstance(node, Sum):
+            terms = t1 * t2
+            if d is not None:
+                e = max(min(d, r1 + r2), 0)
+                # each generator family has one of degree 1, so the k1 of
+                # them alone give C(e + k1, k1) monomials: below that the
+                # count cannot lower the bound
+                k1 = sum(1 for top in tops.values() if top) + len(both)
+                if terms > comb(e + k1, k1):
+                    n = count(tops, both, e)
+                    terms = terms if n is None else min(terms, n)
+            return terms, c1 + c2 + t1 * t2, tops, both, r1 + r2
+        e = max(d, 0)
+        inverse = count(tops2, tags2, e)
+        if inverse is None:
+            return t1, float("inf"), tops, both, e
+        n = count(tops, both, e)
+        terms = t1 * inverse if n is None else min(t1 * inverse, n)
+        return terms, c1 + c2 + (t1 + t2) * inverse, tops, both, e
 
     return walk(expr, frozenset())[1]
 

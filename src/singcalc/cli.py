@@ -80,10 +80,10 @@ def _check_scan_cost(n: int, grid: list, t_grid) -> None:
                 f"points, over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
 
 
-# bundles.total_sw_cost estimates the monomial products of an untruncated
-# total-sw. On a 2-core machine a sum of five rank-8 bundles (66 465
-# products, 59 049 terms) prints in 2 s, or in 4 s and 170 MB with --json; a
-# sum of 200 rank-8 bundles runs for minutes and takes hundreds of MB.
+# bundles.total_sw_cost estimates the monomial products of a total-sw, with or
+# without a degree bound. On a 2-core machine a sum of five rank-8 bundles
+# (66 465 products, 59 049 terms) prints in 2 s, or in 4 s and 170 MB with
+# --json; a sum of 200 rank-8 bundles runs for minutes and takes hundreds of MB.
 TOTAL_SW_MAX_PRODUCTS = 100_000
 
 
@@ -206,11 +206,13 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
             raise click.UsageError(f"--rank expects an integer rank, got {spec!r}")
     d = _resolve_max_deg(max_deg)
     tree = _run(parse_bundle_expr, expr, ranks)
-    if d is None and _run(bundles.total_sw_cost, tree) > TOTAL_SW_MAX_PRODUCTS:
+    if _run(bundles.total_sw_cost, tree, d) > TOTAL_SW_MAX_PRODUCTS:
+        what, hint = (("the untruncated total class", "pass --max-deg to truncate it")
+                      if d is None else
+                      (f"the total class to degree {d}", "pass a lower --max-deg"))
         raise click.UsageError(
-            "the untruncated total class would take more monomial products than "
-            f"the cost bound TOTAL_SW_MAX_PRODUCTS = {TOTAL_SW_MAX_PRODUCTS}; "
-            "pass --max-deg to truncate it")
+            f"{what} would take more monomial products than the cost bound "
+            f"TOTAL_SW_MAX_PRODUCTS = {TOTAL_SW_MAX_PRODUCTS}; {hint}")
     rank, total = _run(bundles.total_sw, tree, d)
     if regime != "none":
         if k is None:

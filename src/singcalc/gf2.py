@@ -5,6 +5,12 @@ Generators are Stiefel-Whitney classes w_i of named bundle families
 first Stiefel-Whitney classes of line bundles, written t:tag (degree 1).
 A polynomial is a set of monomials; adding a monomial twice cancels it.
 
+Every monomial is canonical: a tuple of (generator, exponent) pairs sorted
+by gen_sort_key, each generator at most once, every exponent >= 1, so equal
+monomials are equal tuples. mono() makes one from pairs in any order;
+mono_mul, sq1 and the ring operations take canonical monomials and return
+canonical ones by merging sorted sequences, without re-sorting.
+
 The module also implements the first Steenrod square sq1 as a derivation
 acting on generators through the Wu formula, its exact preimage solver,
 and inversion of total classes degree by degree.
@@ -77,15 +83,46 @@ def mono(pairs: Iterable[tuple]) -> tuple:
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
+    """Product of two canonical monomials: one merge of the two sorted
+    pair sequences, adding the exponents of a generator both contain."""
     if not m1:
         return m2
     if not m2:
         return m1
-    return mono(list(m1) + list(m2))
+    out = []
+    n1, n2 = len(m1), len(m2)
+    i = j = 0
+    p1, p2 = m1[0], m2[0]
+    k1, k2 = gen_sort_key(p1[0]), gen_sort_key(p2[0])
+    while True:
+        if k1 < k2:
+            out.append(p1)
+            i += 1
+            if i == n1:
+                break
+            p1 = m1[i]
+            k1 = gen_sort_key(p1[0])
+        elif k2 < k1:
+            out.append(p2)
+            j += 1
+            if j == n2:
+                break
+            p2 = m2[j]
+            k2 = gen_sort_key(p2[0])
+        else:
+            out.append((p1[0], p1[1] + p2[1]))
+            i += 1
+            j += 1
+            if i == n1 or j == n2:
+                break
+            p1, p2 = m1[i], m2[j]
+            k1, k2 = gen_sort_key(p1[0]), gen_sort_key(p2[0])
+    # at most one of the two tails is left
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def mono_degree(m: tuple) -> int:
-    return sum(gen_degree(g) * e for g, e in m)
+    return sum(g[2] * e if g[0] == "w" else e for g, e in m)
 
 
 def mono_sort_key(m: tuple) -> tuple:
@@ -167,10 +204,10 @@ class GF2Poly:
 
     @staticmethod
     def from_terms(terms: Iterable[tuple], max_degree: Optional[int] = None) -> "GF2Poly":
-        kept = set()
+        if max_degree is not None:
+            terms = [m for m in terms if mono_degree(m) <= max_degree]
+        kept: set = set()
         for m in terms:
-            if max_degree is not None and mono_degree(m) > max_degree:
-                continue
             kept ^= {m}
         return GF2Poly(frozenset(kept), max_degree)
 
@@ -213,14 +250,17 @@ class GF2Poly:
     def __mul__(self, other: "GF2Poly") -> "GF2Poly":
         bound = _bound_min(self.max_degree, other.max_degree)
         acc: set = set()
+        if bound is None:
+            for m1 in self.terms:
+                for m2 in other.terms:
+                    acc ^= {mono_mul(m1, m2)}
+            return GF2Poly(frozenset(acc), bound)
+        right = [(m2, d2) for m2 in other.terms if (d2 := mono_degree(m2)) <= bound]
         for m1 in self.terms:
-            d1 = mono_degree(m1)
-            if bound is not None and d1 > bound:
-                continue
-            for m2 in other.terms:
-                if bound is not None and d1 + mono_degree(m2) > bound:
-                    continue
-                acc ^= {mono_mul(m1, m2)}
+            room = bound - mono_degree(m1)
+            for m2, d2 in right:
+                if d2 <= room:
+                    acc ^= {mono_mul(m1, m2)}
         return GF2Poly(frozenset(acc), bound)
 
     def square(self) -> "GF2Poly":
@@ -304,30 +344,33 @@ def poly_from_json(obj: list, max_degree: Optional[int] = None) -> GF2Poly:
 # first Steenrod square
 
 
-def _sq1_gen(g: tuple) -> GF2Poly:
-    # Wu formula on a single generator.
-    if g[0] == "t":
-        return GF2Poly.from_terms([mono([(g, 2)])])
-    _, bundle, i = g
-    out = GF2Poly.from_terms([mono([(wgen(1, bundle), 1), (g, 1)])])
-    if i % 2 == 0:
-        out = out + wpoly(i + 1, bundle)
-    return out
-
-
 def sq1(p: GF2Poly) -> GF2Poly:
-    """First Steenrod square, extended from generators as a derivation."""
+    """First Steenrod square, extended from generators as a derivation.
+
+    A generator g of odd exponent in a term m contributes rest * sq1(g),
+    where rest is m with one factor g removed, and sq1(g) comes from the
+    Wu formula: t -> t^2, and w_i -> w_1 w_i, plus w_{i+1} for even i,
+    with w_1 and w_{i+1} from g's own bundle. Every product has degree
+    deg(m) + 1, so the degree cut is made once per term.
+    """
     bound = None if p.max_degree is None else p.max_degree + 1
     acc: set = set()
     for m in p.terms:
+        if bound is not None and mono_degree(m) >= bound:
+            continue
         for j, (g, e) in enumerate(m):
             if e % 2 == 0:
                 continue
-            rest = mono(list(m[:j]) + [(g, e - 1)] + list(m[j + 1:]))
-            for x in _sq1_gen(g).terms:
-                prod = mono_mul(rest, x)
-                if bound is None or mono_degree(prod) <= bound:
-                    acc ^= {prod}
+            head, tail = m[:j], m[j + 1:]
+            rest = head + ((g, e - 1),) + tail if e > 1 else head + tail
+            if g[0] == "t":
+                acc ^= {mono_mul(rest, ((g, 2),))}
+                continue
+            _, bundle, i = g
+            w1 = ("w", bundle, 1)
+            acc ^= {mono_mul(rest, ((w1, 2),) if i == 1 else ((w1, 1), (g, 1)))}
+            if i % 2 == 0:
+                acc ^= {mono_mul(rest, ((("w", bundle, i + 1), 1),))}
     return GF2Poly(frozenset(acc), bound)
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .bundles import Named, total_sw
-from .gf2 import (GF2Poly, inverse_total, linegen, mono, mono_degree,
-                  mono_mul, poly_to_json, verifier_bound, wgen, wpoly)
+from .gf2 import (GF2Poly, inverse_total, linegen, mono_degree, mono_mul, poly_to_json,
+                  verifier_bound, wgen, wpoly)
 from .reports import INFO, Report
 
 TAUT_TAG = "a"
@@ -55,9 +55,11 @@ def q_push(x: GF2Poly, n: int, max_degree: int) -> GF2Poly:
     component of the inverse total class of TM (0 for negative index,
     1 for index 0).
     """
-    wbar = inverse_total(tm_total(n, max_degree), max_degree)
+    parts: dict = {}  # the homogeneous parts of the inverse total class
+    for w in inverse_total(tm_total(n, max_degree), max_degree).terms:
+        parts.setdefault(mono_degree(w), []).append(w)
     a = linegen(TAUT_TAG)
-    out = GF2Poly.zero(max_degree)
+    acc: set = set()
     for m in x.terms:
         a_exp = 0
         rest = []
@@ -67,11 +69,12 @@ def q_push(x: GF2Poly, n: int, max_degree: int) -> GF2Poly:
             else:
                 rest.append((g, e))
         idx = a_exp - n + 1
-        if idx < 0:
+        if idx < 0 or idx + mono_degree(rest) > max_degree:
             continue
-        part = GF2Poly.one(max_degree) if idx == 0 else wbar.homogeneous_part(idx)
-        out = out + part * GF2Poly.from_terms([mono(rest)], max_degree)
-    return out
+        rest = tuple(rest)  # a subsequence of m, so still canonical
+        for w in parts.get(idx, ()):
+            acc ^= {mono_mul(w, rest)}
+    return GF2Poly(frozenset(acc), max_degree)
 
 
 def i_push(x: GF2Poly, k: int, max_degree: Optional[int] = None, tag: str = "t") -> GF2Poly:
@@ -90,11 +93,11 @@ def i_push(x: GF2Poly, k: int, max_degree: Optional[int] = None, tag: str = "t")
                 t_exp = e
             else:
                 rest.append((g, e))
-        pushed = mono_mul(mono(rest), mono([(wgen(k + t_exp + 1), 1)]))
+        pushed = mono_mul(tuple(rest), ((wgen(k + t_exp + 1), 1),))
         if max_degree is not None and mono_degree(pushed) > max_degree:
             continue
         out ^= {pushed}
-    return GF2Poly.from_terms(out, max_degree)
+    return GF2Poly(frozenset(out), max_degree)
 
 
 def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None) -> Report:

@@ -1,12 +1,17 @@
 """Whitney formula, line twisting, rewriting regimes, expression parser."""
 
+from math import inf
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import singcalc.bundles as bundles
+
 from singcalc.bundles import (MAX_DEPTH, Diff, LineBundle, MorinNu1, Named, Prim,
-                              Sum, TensorLine, Trivial, TwistedPrim, apply_regime,
-                              parse_bundle_expr, tensor_line, total_sw, total_sw_cost)
+                              Sum, TensorLine, Trivial, TwistedPrim, _monomials_up_to,
+                              apply_regime, parse_bundle_expr, tensor_line, total_sw,
+                              total_sw_cost)
 from singcalc.gf2 import GF2Poly, linegen, linepoly, wpoly
 
 D = 10
@@ -27,6 +32,16 @@ def test_named_totals():
     assert rank == 4 and tot == GF2Poly.one(D)
     rank, tot = total_sw(LineBundle("t"), D)
     assert rank == 1 and tot == GF2Poly.one(D) + linepoly("t", D)
+
+
+@pytest.mark.parametrize("d", [None, -1, 0, 2, 5, 12])
+def test_named_total_is_the_sum_of_its_classes(d):
+    for rank in (0, 1, 5, 9):
+        expect = GF2Poly.one(d)
+        for i in range(1, rank + 1 if d is None else min(rank, d) + 1):
+            expect = expect + wpoly(i, "E", d)
+        rank_out, tot = total_sw(Named("E", rank), d)
+        assert (rank_out, tot.terms, tot.max_degree) == (rank, expect.terms, expect.max_degree)
 
 
 def test_whitney_sum_and_rank_additivity():
@@ -187,6 +202,86 @@ def test_total_sw_cost_refuses_deep_trees_cheaply():
     with pytest.raises(ValueError, match="MAX_DEPTH"):
         total_sw_cost(deep)
     assert total_sw_cost(Named("nu_f", 10 ** 12)) == 10 ** 12 + 1
+
+
+def _brute_monomials(tops, tags, e):
+    # enumerate exponent vectors over the generators, degree <= e
+    degrees = [i for top in tops.values() for i in range(1, top + 1)] + [1] * len(tags)
+
+    def rec(i, left):
+        if i == len(degrees):
+            return 1
+        return sum(rec(i + 1, left - degrees[i] * a) for a in range(left // degrees[i] + 1))
+
+    return rec(0, e)
+
+
+@pytest.mark.parametrize("tops,tags", [({}, frozenset()), ({"": 3}, frozenset()),
+                                       ({"": 3, "TM": 2}, frozenset({"t"})),
+                                       ({"A": 4, "B": 1}, frozenset({"t", "u"})),
+                                       ({}, frozenset({"t", "u", "v"}))])
+def test_monomial_count_matches_enumeration(tops, tags):
+    for e in range(0, 9):
+        assert _monomials_up_to(tops, tags, e) == _brute_monomials(tops, tags, e)
+
+
+COST_CASES = ["nu_f", "nu_f + TM", "A + B + nu_f", "A + A + A", "tensor(t, nu_f - TM)",
+              "tensor(t, A + line(u)) + B", "nu_f - TM", "A - TM + B",
+              "tensor(u, tensor(t, eps(3))) + A", "(A + B) - (TM + line(t))",
+              "tensor(t, nu_f) - tensor(t, TM)", "eps(3) - line(t)",
+              "tensor(t, line(t)) + line(t) - TM"]
+
+
+@pytest.mark.parametrize("text", COST_CASES)
+def test_bounded_total_sw_cost_bounds_the_work(text, monkeypatch):
+    # the products total_sw forms at sums and differences (tensoring a leaf
+    # is costed as the leaf's terms) and the terms it returns stay within
+    # the estimate, at every bound
+    seen = {"pairs": 0, "leaf": 0}
+    mul, inverse, tensor = GF2Poly.__mul__, bundles.inverse_total, bundles.tensor_line
+
+    def counting_mul(a, b):
+        if not seen["leaf"]:
+            seen["pairs"] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    def counting_inverse(a, d):
+        inv = inverse(a, d)
+        seen["pairs"] += len(a.terms) * len(inv.terms)
+        return inv
+
+    def leaf_tensor(*args):
+        seen["leaf"] += 1
+        try:
+            return tensor(*args)
+        finally:
+            seen["leaf"] -= 1
+
+    monkeypatch.setattr(GF2Poly, "__mul__", counting_mul)
+    monkeypatch.setattr(bundles, "inverse_total", counting_inverse)
+    monkeypatch.setattr(bundles, "tensor_line", leaf_tensor)
+    tree = parse_bundle_expr(text, {"nu_f": 3, "TM": 2, "A": 4, "B": 5})
+    has_diff = "-" in text
+    for d in ([] if has_diff else [None]) + [0, 1, 2, 3, 5, 8, 12]:
+        seen["pairs"] = 0
+        terms = len(total_sw(tree, d)[1].terms)
+        cost = total_sw_cost(tree, d)
+        assert seen["pairs"] <= cost and terms <= cost, d
+        if not has_diff:
+            assert cost <= total_sw_cost(tree)
+
+
+def test_bounded_total_sw_cost_is_cheap_and_refuses_what_it_cannot_count():
+    eight = " + ".join("ABCDEFGH")
+    tree = parse_bundle_expr(eight, {name: 8 for name in "ABCDEFGH"})
+    # degree 4 sees only w_1..w_4 of each bundle: far fewer terms than 5^8
+    assert total_sw_cost(tree, 4) < 10_000 < total_sw_cost(tree, 8)
+    assert total_sw_cost(tree, 64) == total_sw_cost(tree)
+    # the inverse of a rank-8 total to degree 10^6 is not even counted
+    assert total_sw_cost(parse_bundle_expr("nu_f - TM", {"nu_f": 8, "TM": 8}), 10 ** 6) == inf
+    huge = parse_bundle_expr("A + B", {"A": 10 ** 12, "B": 10 ** 12})
+    leaf = 10 ** 12 + 1
+    assert total_sw_cost(huge, 10 ** 12) == total_sw_cost(huge) == 2 * leaf + leaf ** 2
 
 
 def test_kernel_line_relation_shape():

@@ -148,6 +148,31 @@ def test_total_sw_cost_guard_refuses_before_any_work(runner, monkeypatch):
         assert isinstance(res.exception, AssertionError), args
 
 
+def test_total_sw_cost_guard_applies_with_a_degree_bound(runner, monkeypatch):
+    def no_total(tree, max_degree=None):
+        raise AssertionError("total_sw must not run")
+
+    monkeypatch.setattr(bundles, "total_sw", no_total)
+    bound = f"TOTAL_SW_MAX_PRODUCTS = {cli.TOTAL_SW_MAX_PRODUCTS}"
+    eight = " + ".join("ABCDEFGH")
+    ranks = [arg for n in "ABCDEFGH" for arg in ("--rank", f"{n}=8")]
+    # eight rank-8 bundles: a bound at or above the total's degree (64) cuts
+    # nothing, and degree 8 still leaves far too many monomials
+    for d in ("64", "8"):
+        res = runner.invoke(cli.tpcalc, ["total-sw", eight, "--max-deg", d] + ranks)
+        assert res.exit_code == 2
+        assert bound in res.output and f"to degree {d}" in res.output
+    res = runner.invoke(cli.tpcalc, ["total-sw", eight] + ranks,
+                        env={"SINGCALC_MAX_DEG": "64"})
+    assert res.exit_code == 2 and bound in res.output
+    # the inverse of a rank-8 total to a huge degree is refused too
+    res = runner.invoke(cli.tpcalc, ["total-sw", "F - TM", "--max-deg", "1000000"])
+    assert res.exit_code == 2 and bound in res.output
+    # degree 4 sees only w_1..w_4 of each bundle, and the work fits
+    res = runner.invoke(cli.tpcalc, ["total-sw", eight, "--max-deg", "4"] + ranks)
+    assert isinstance(res.exception, AssertionError)
+
+
 @pytest.mark.parametrize("bound", ["-1", "7"])
 def test_morin_integral_checks_the_degree_bound(runner, bound):
     args = ["morin", "--r", "2", "--k", "3", "--integral"]

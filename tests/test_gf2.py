@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcalc.bundles import parse_bundle_expr, total_sw
-from singcalc.gf2 import (GF2Poly, Packing, inverse_total, linegen, mono,
-                          mono_degree, mono_mul, parse_gen, poly_from_json,
-                          poly_to_json, sq1, sq1_preimage, wgen, wpoly)
+from singcalc.gf2 import (GF2Poly, Packing, _bound_min, gen_degree, inverse_total,
+                          linegen, mono, mono_degree, mono_mul, parse_gen,
+                          poly_from_json, poly_to_json, sq1, sq1_preimage, wgen,
+                          wpoly)
 from singcalc.gysin import tm_total
 
-GENS = [wgen(i) for i in range(1, 6)] + [wgen(2, "E"), linegen("t")]
+GENS = ([wgen(i) for i in range(1, 6)] + [wgen(1, "E"), wgen(2, "E"), wgen(3, "E")]
+        + [linegen("t"), linegen("u")])
 
 monomials = st.lists(
     st.tuples(st.sampled_from(GENS), st.integers(1, 2)), max_size=3
@@ -82,6 +84,92 @@ def test_packing_products_and_degree_cut(m1, m2, d):
     assert pk.unpack(x1) == m1 and pk.unpack(x2) == m2
     assert pk.unpack(x1 + x2) == mono_mul(m1, m2)
     assert (x1 + x2 < pk.limit(d)) == (top <= d)
+
+
+# the merge kernel against mono() -------------------------------------------
+
+def _plain_degree(m):
+    return sum(gen_degree(g) * e for g, e in m)
+
+
+def _plain_product(a, b):
+    # every pair multiplied through mono(), cut at the smaller bound
+    bound = _bound_min(a.max_degree, b.max_degree)
+    return GF2Poly.from_terms((mono(list(m1) + list(m2)) for m1 in a.terms for m2 in b.terms),
+                              bound)
+
+
+def _plain_sq1_gen(g):
+    # the Wu formula on one generator, as a set of terms
+    if g[0] == "t":
+        return {mono([(g, 2)])}
+    _, bundle, i = g
+    out = {mono([(wgen(1, bundle), 1), (g, 1)])}
+    if i % 2 == 0:
+        out ^= {mono([(wgen(i + 1, bundle), 1)])}
+    return out
+
+
+def _plain_sq1(p):
+    # sq1 as a derivation, every product through mono()
+    bound = None if p.max_degree is None else p.max_degree + 1
+    acc = set()
+    for m in p.terms:
+        for j, (g, e) in enumerate(m):
+            if e % 2 == 0:
+                continue
+            rest = mono(list(m[:j]) + [(g, e - 1)] + list(m[j + 1:]))
+            for x in _plain_sq1_gen(g):
+                prod = mono(list(rest) + list(x))
+                if bound is None or _plain_degree(prod) <= bound:
+                    acc ^= {prod}
+    return GF2Poly(frozenset(acc), bound)
+
+
+long_monomials = st.lists(
+    st.tuples(st.sampled_from(GENS), st.integers(1, 3)), max_size=6
+).map(mono)
+
+
+@given(long_monomials, long_monomials)
+@settings(max_examples=300)
+def test_mono_mul_is_mono_of_the_concatenation(m1, m2):
+    assert mono_mul(m1, m2) == mono(list(m1) + list(m2))
+    assert mono_degree(m1) == _plain_degree(m1)
+
+
+def _bounds(a):
+    top = a.degree()
+    return [None, top - 1, top, top + 1]
+
+
+@given(polys)
+@settings(max_examples=300)
+def test_sq1_matches_plain_derivation(a):
+    for bound in _bounds(a):
+        # built directly, so a term above the bound reaches sq1's degree cut
+        for p in (GF2Poly(a.terms, bound), GF2Poly.from_terms(a.terms, bound)):
+            got, want = sq1(p), _plain_sq1(p)
+            assert got.terms == want.terms
+            assert got.max_degree == want.max_degree
+
+
+@given(polys, polys)
+@settings(max_examples=200)
+def test_products_match_plain_products(a, b):
+    for bound in _bounds(a * b):
+        for p, q in ((GF2Poly.from_terms(a.terms, bound), b),
+                     (a, GF2Poly.from_terms(b.terms, bound))):
+            got, want = p * q, _plain_product(p, q)
+            assert got.terms == want.terms
+            assert got.max_degree == want.max_degree
+
+
+@given(polys, polys, st.sampled_from([None, 0, 2, 3, 5, 8]))
+def test_kernel_returns_canonical_terms(a, b, bound):
+    a, b = GF2Poly.from_terms(a.terms, bound), GF2Poly.from_terms(b.terms, bound)
+    for p in (a * b, sq1(a), sq1(a * b), a.square(), a ** 3):
+        assert all(mono(m) == m for m in p.terms)
 
 
 # sq1 -----------------------------------------------------------------------

@@ -2,15 +2,102 @@
 inclusion pushforward."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singcalc.bundles import tensor_line
-from singcalc.gf2 import GF2Poly, inverse_total, linepoly, wpoly
+from singcalc.gf2 import (GF2Poly, gen_degree, inverse_total, linegen, linepoly, mono,
+                          wgen, wpoly)
 from singcalc.gysin import (F, TAUT_TAG, TM, f_total, i_push, q_push,
                             taut_class, tm_total, verify_pushforward,
                             zero_locus_class)
 from singcalc.reports import PASS
 
 D = 12
+
+
+# plain pushforwards: every product through mono(), every sum through `+`
+
+def _plain_degree(m):
+    return sum(gen_degree(g) * e for g, e in m)
+
+
+def _plain_product(a, b, bound):
+    return GF2Poly.from_terms((mono(list(m1) + list(m2)) for m1 in a.terms for m2 in b.terms),
+                              bound)
+
+
+def _split(m, g0):
+    # (exponent of g0 in m, the other pairs)
+    exp, rest = 0, []
+    for g, e in m:
+        if g == g0:
+            exp = e
+        else:
+            rest.append((g, e))
+    return exp, rest
+
+
+def _plain_q_push(x, n, max_degree):
+    wbar = inverse_total(tm_total(n, max_degree), max_degree)
+    out = GF2Poly.zero(max_degree)
+    for m in x.terms:
+        a_exp, rest = _split(m, linegen(TAUT_TAG))
+        idx = a_exp - n + 1
+        if idx < 0:
+            continue
+        part = GF2Poly.one(max_degree) if idx == 0 else wbar.homogeneous_part(idx)
+        out = out + _plain_product(part, GF2Poly.from_terms([mono(rest)], max_degree),
+                                   max_degree)
+    return out
+
+
+def _plain_i_push(x, k, max_degree=None, tag="t"):
+    other_tags = x.line_tags() - {tag}
+    if other_tags:
+        raise ValueError(f"i_push: unexpected line classes {sorted(other_tags)}")
+    out = set()
+    for m in x.terms:
+        t_exp, rest = _split(m, linegen(tag))
+        pushed = mono(rest + [(wgen(k + t_exp + 1), 1)])
+        if max_degree is not None and _plain_degree(pushed) > max_degree:
+            continue
+        out ^= {pushed}
+    return GF2Poly.from_terms(out, max_degree)
+
+
+@st.composite
+def _classes(draw, with_taut=True):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 3))
+    gens = ([wgen(i, TM) for i in range(1, n + 1)] + [wgen(i, F) for i in range(1, n + k + 1)]
+            + [wgen(i) for i in range(1, 4)] + [linegen("t")])
+    if with_taut:
+        gens.append(linegen(TAUT_TAG))
+    pairs = st.tuples(st.sampled_from(gens), st.integers(1, n + 2))
+    terms = draw(st.lists(st.lists(pairs, max_size=3).map(mono), max_size=6))
+    return n, k, GF2Poly.from_terms(terms)
+
+
+@given(_classes(), st.integers(-1, 16))
+@settings(max_examples=150, deadline=None)
+def test_q_push_matches_plain_pushforward(case, d):
+    n, _, x = case
+    for p in (x, GF2Poly.from_terms(x.terms, d)):
+        got, want = q_push(p, n, d), _plain_q_push(p, n, d)
+        assert got.terms == want.terms
+        assert got.max_degree == want.max_degree
+
+
+@given(_classes(with_taut=False), st.sampled_from([None, 0, 3, 6, 9, 14]))
+@settings(max_examples=150, deadline=None)
+def test_i_push_matches_plain_pushforward(case, d):
+    _, k, x = case
+    got, want = i_push(x, k, d), _plain_i_push(x, k, d)
+    assert got.terms == want.terms
+    assert got.max_degree == want.max_degree
+    with pytest.raises(ValueError):
+        i_push(x + taut_class(), k, d)
 
 
 def test_q_push_on_taut_powers():

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module imports is used in that module, and
-only the CLI's degree-bound resolver reads the environment."""
+"""Source hygiene: every name a module imports is used in that module, only
+the CLI's degree-bound resolver reads the environment, and the GF(2) kernel
+modules keep no cache."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,44 @@ def test_only_the_degree_bound_resolver_reads_the_environment():
     reads = [(path.name, func) for path in sorted(SRC.glob("*.py"))
              for func in _env_reads(ast.parse(path.read_text()))]
     assert reads == [("cli.py", "_resolve_max_deg")]
+
+
+# A cache in the kernel could hide an injected fault behind an earlier
+# result, and one keyed by generator grows with every w_i ever drawn.
+KERNEL_MODULES = ("gf2.py", "thom.py", "gysin.py", "bundles.py")
+CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+CONTAINER_CALLS = ("dict", "set", "list", "defaultdict", "OrderedDict")
+CACHE_DECORATORS = ("cache", "lru_cache", "cached_property")
+
+
+def _caches(tree: ast.Module) -> list:
+    """Module-level dict/set/list values and functools cache decorators."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            continue
+        value = node.value
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call) and getattr(value.func, "id", "") in CONTAINER_CALLS):
+            out.append((node.lineno, "module-level container"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name in CACHE_DECORATORS:
+                    out.append((dec.lineno, f"@{name} on {node.name}"))
+    return out
+
+
+@pytest.mark.parametrize("name", KERNEL_MODULES)
+def test_kernel_modules_keep_no_cache(name):
+    assert _caches(ast.parse((SRC / name).read_text())) == []
+
+
+def test_cache_check_sees_caches():
+    source = ("import functools\nfrom functools import lru_cache\nKEYS = {}\nSEEN: set = set()\n"
+              "ORDER = [1]\n@functools.cache\ndef f(x):\n    return x\n"
+              "@lru_cache(maxsize=None)\ndef g(x):\n    return x\nLIMIT = 10\n")
+    found = _caches(ast.parse(source))
+    assert [line for line, _ in found] == [3, 4, 5, 6, 9]
