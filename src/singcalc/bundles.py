@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
-from .gf2 import ONE_MONO, GF2Poly, inverse_total, linegen, mono, wgen
+from .gf2 import ONE_MONO, GF2Poly, _bound_min, inverse_total, linegen, mono, wgen
 
 STABLE_BUNDLE_NAME = "nu_f"  # its classes are the anonymous w_i
 
@@ -101,23 +101,20 @@ def tensor_line(tag: str, rank: int, total: GF2Poly, max_degree: Optional[int]) 
         raise ValueError("tensor_line needs rank >= 0")
     if total.homogeneous_part(0) != GF2Poly.one():
         raise ValueError("total class must have constant term 1")
-    top = rank if max_degree is None else max(rank, max_degree)
+    top = rank if max_degree is None else max_degree
     t = GF2Poly.gen(linegen(tag))
-    out = GF2Poly.zero(max_degree)
     tpow = [GF2Poly.one(max_degree)]
     for _ in range(top):
         tpow.append(tpow[-1] * t)
+    parts = [total.homogeneous_part(i) for i in range(min(rank, top) + 1)]
+    # one accumulator for all the terms, so the work is linear in the output
+    acc: set = set()
     for j in range(0, top + 1):
-        if max_degree is not None and j > max_degree:
-            break
         for i in range(0, min(j, rank) + 1):
-            if comb(rank - i, j - i) % 2 == 0:
+            if comb(rank - i, j - i) % 2 == 0 or parts[i].is_zero():
                 continue
-            part = total.homogeneous_part(i)
-            if part.is_zero():
-                continue
-            out = out + tpow[j - i] * part
-    return out
+            acc ^= (tpow[j - i] * parts[i]).terms
+    return GF2Poly(frozenset(acc), _bound_min(max_degree, total.max_degree))
 
 
 def total_sw(expr: BundleExpr, max_degree: Optional[int] = None) -> tuple:

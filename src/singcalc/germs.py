@@ -223,42 +223,52 @@ def jacobian_tilde_f(n: int, k: int, p: GermPoint,
         t = p.t
     if t is None:
         raise ValueError("jacobian_tilde_f needs t (in the point or as an argument)")
-    t = Fraction(t)
+    if not isinstance(t, Fraction):
+        t = Fraction(t)
     z = p.z
     y = p.y
-    q1 = 1 + z * z
-    q2 = 1 + z * z + z ** 4
     ncols = n + 1
     col_y, col_z, col_t = 2 * k, 2 * k + 1, n
+    zero, one = Fraction(0), Fraction(1)
+
+    # point-wide coefficients; the rows of block i scale them by x_{2i}
+    z2 = z * z
+    z4 = z2 * z2
+    q1 = one + z2
+    q2 = one + z2 + z4
+    q2sq = q2 * q2
+    odd_e = -2 * t * z / q2
+    odd_z = -2 * t * (1 - z2 - 3 * z4) / q2sq
+    odd_t = -2 * z / q2
+    even_e = 1 - 2 * t * z2 / q2
+    even_z = -4 * t * z * (1 - z4) / q2sq
+    even_t = -2 * z2 / q2
+    y_e = z2 + 2 * t / q2
+    y_z = 2 * z - 2 * t * (2 * z + 4 * z * z2) / q2sq
+    y_t = 2 / q2
 
     def row(entries: dict) -> List[Fraction]:
-        r = [Fraction(0)] * ncols
+        r = [zero] * ncols
         for idx, val in entries.items():
-            r[idx] = Fraction(val)
+            r[idx] = val if isinstance(val, Fraction) else Fraction(val)
         return r
 
     rows = []
     for i in range(1, k + 1):
         co, ce = 2 * i - 2, 2 * i - 1
         xe = p.x[ce]
-        rows.append(row({co: 1, ce: -2 * t * z / q2,
-                         col_z: -2 * t * xe * (1 - z * z - 3 * z ** 4) / q2 ** 2,
-                         col_t: -2 * z * xe / q2}))
-        rows.append(row({ce: 1 - 2 * t * z * z / q2,
-                         col_z: -4 * t * z * (1 - z ** 4) * xe / q2 ** 2,
-                         col_t: -2 * z * z * xe / q2}))
-    rows.append(row({col_y: 1, col_z: -12 * t * z / q1 ** 2,
-                     col_t: -6 * z * z / q1}))
+        rows.append(row({co: one, ce: odd_e, col_z: odd_z * xe, col_t: odd_t * xe}))
+        rows.append(row({ce: even_e, col_z: even_z * xe, col_t: even_t * xe}))
+    rows.append(row({col_y: one, col_z: -12 * t * z / (q1 * q1),
+                     col_t: -6 * z2 / q1}))
     for i in range(1, k + 1):
         co, ce = 2 * i - 2, 2 * i - 1
         xo, xe = p.x[co], p.x[ce]
-        rows.append(row({co: z, ce: z * z + 2 * t / q2,
-                         col_z: xo + 2 * z * xe - 2 * t * xe * (2 * z + 4 * z ** 3) / q2 ** 2,
-                         col_t: 2 * xe / q2}))
-    rows.append(row({col_y: z, col_z: y + 3 * z * z + 6 * t * (1 - z * z) / q1 ** 2,
+        rows.append(row({co: z, ce: y_e, col_z: xo + y_z * xe, col_t: y_t * xe}))
+    rows.append(row({col_y: z, col_z: y + 3 * z2 + 6 * t * (1 - z2) / (q1 * q1),
                      col_t: 6 * z / q1}))
     for i in range(n - 2 * k - 2):
-        rows.append(row({2 * k + 2 + i: 1}))
+        rows.append(row({2 * k + 2 + i: one}))
     return rows
 
 
@@ -292,8 +302,9 @@ class JetReport:
 
 
 def rank_corank(matrix: Sequence[Sequence]) -> Tuple[int, int]:
-    """Exact (rank, corank), corank = min(rows, cols) - rank, without the
-    kernel and cokernel bases; for scans that read only the numbers."""
+    """Exact (rank, corank), corank = min(rows, cols) - rank, from one
+    Bareiss elimination and without the kernel and cokernel bases; for scans
+    that read only the numbers."""
     rk = bareiss_rank(matrix)
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -301,10 +312,15 @@ def rank_corank(matrix: Sequence[Sequence]) -> Tuple[int, int]:
 
 
 def corank(matrix: Sequence[Sequence]) -> JetReport:
-    """Exact rank/corank with kernel and cokernel bases."""
-    rk, cork = rank_corank(matrix)
-    return JetReport(rank=rk, corank=cork,
-                     kernel_basis=kernel_basis(matrix),
+    """Exact rank/corank with kernel and cokernel bases, from two
+    eliminations: the kernel's, whose size gives the rank
+    (cols - dim ker), and the cokernel's on the transpose."""
+    ker = kernel_basis(matrix)
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    rk = cols - len(ker)
+    return JetReport(rank=rk, corank=min(rows, cols) - rk,
+                     kernel_basis=ker,
                      cokernel_basis=cokernel_basis(matrix))
 
 

@@ -426,7 +426,7 @@ def _to_xy(p: GF2Poly) -> set:
 
 
 def _from_xy(monos: set) -> GF2Poly:
-    total = GF2Poly.zero()
+    acc: set = set()
     for c, pairs in monos:
         poly = GF2Poly.one() if c == 0 else GF2Poly.from_terms([mono([(wgen(1), c)])])
         for i, a, b in pairs:
@@ -435,8 +435,8 @@ def _from_xy(monos: set) -> GF2Poly:
             if b:
                 yb = wpoly(2 * i + 1) + GF2Poly.from_terms([mono([(wgen(1), 1), (wgen(2 * i), 1)])])
                 poly = poly * yb ** b
-        total = total + poly
-    return total
+        acc ^= poly.terms
+    return GF2Poly(frozenset(acc))
 
 
 def _xy_contract(m: tuple):

@@ -42,21 +42,25 @@ def zero_locus_class(n: int, k: int, max_degree: Optional[int] = None) -> GF2Pol
     """Top Stiefel-Whitney class of (tautological line) (x) F on P(TM)."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    out = GF2Poly.zero(max_degree)
+    acc: set = set()
     for i in range(0, n + k + 1):
-        out = out + taut_class(max_degree) ** i * wpoly(n + k - i, F, max_degree)
-    return out
+        acc ^= (taut_class(max_degree) ** i * wpoly(n + k - i, F, max_degree)).terms
+    return GF2Poly(frozenset(acc), max_degree)
 
 
-def q_push(x: GF2Poly, n: int, max_degree: int) -> GF2Poly:
+def q_push(x: GF2Poly, n: int, max_degree: int,
+           tm_inverse: Optional[GF2Poly] = None) -> GF2Poly:
     """Fiber integration along q: P(TM) -> M.
 
     Linear over TM/F classes; a^m integrates to the degree-(m-n+1)
     component of the inverse total class of TM (0 for negative index,
-    1 for index 0).
+    1 for index 0). A caller that already holds that inverse, to degree
+    max_degree, passes it as tm_inverse.
     """
+    if tm_inverse is None:
+        tm_inverse = inverse_total(tm_total(n, max_degree), max_degree)
     parts: dict = {}  # the homogeneous parts of the inverse total class
-    for w in inverse_total(tm_total(n, max_degree), max_degree).terms:
+    for w in tm_inverse.terms:
         parts.setdefault(mono_degree(w), []).append(w)
     a = linegen(TAUT_TAG)
     acc: set = set()
@@ -108,9 +112,11 @@ def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None)
     needed = k + r + 1
     d = verifier_bound(max_degree, needed, needed)
     report = Report("verify lemma-pushforward", {"n": n, "k": k, "r": r, "max_degree": d})
-    lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, d)
+    # the inverse of w(TM) is common input to both sides, not a derivation
+    tm_inverse = inverse_total(tm_total(n, d), d)
+    lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, d, tm_inverse)
     lhs = lhs.homogeneous_part(needed)
-    rhs = (f_total(n, k, d) * inverse_total(tm_total(n, d), d)).homogeneous_part(needed)
+    rhs = (f_total(n, k, d) * tm_inverse).homogeneous_part(needed)
     report.check_equal("fiber integration equals normal-class expansion", lhs, rhs,
                        detail=f"degree {needed}")
     report.artifacts["pushforward_side"] = poly_to_json(lhs)

@@ -90,14 +90,14 @@ def _permanent_oracle(r: int, l: int) -> GF2Poly:
     # mod 2 the determinant is the permanent, so the permutation sum is an
     # expansion-free second route; entry indices are recomputed here on
     # purpose, independently of the matrix builder
-    acc = GF2Poly.zero()
+    acc: set = set()
     for perm in permutations(range(1, r + 1)):
         term = GF2Poly.one()
         for i, j in enumerate(perm, start=1):
             idx = l + r + j - i
             term = term * (wpoly(idx) if idx >= 0 else GF2Poly.zero())
-        acc = acc + term
-    return acc
+        acc ^= term.terms
+    return GF2Poly(frozenset(acc))
 
 
 def _sec_gtp_oracle(d):

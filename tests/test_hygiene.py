@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module, only
-the CLI's degree-bound resolver reads the environment, and the GF(2) kernel
-modules keep no cache."""
+the CLI's degree-bound resolver reads the environment, the GF(2) kernel
+modules keep no cache, and no float reaches the exact rank decisions."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,30 @@ def test_cache_check_sees_caches():
               "@lru_cache(maxsize=None)\ndef g(x):\n    return x\nLIMIT = 10\n")
     found = _caches(ast.parse(source))
     assert [line for line, _ in found] == [3, 4, 5, 6, 9]
+
+
+# Corank and transversality verdicts are exact rank decisions over Q; a float
+# anywhere on that path could round a rank away. (jets.jacobian_fd, the
+# finite-difference sanity oracle, is not on the path and keeps its floats.)
+RANK_MODULES = ("linalg.py", "germs.py")
+
+
+def _floats(tree: ast.Module) -> list:
+    """float(...) calls and float literals."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "float":
+            out.append((node.lineno, "float() call"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, f"literal {node.value!r}"))
+    return out
+
+
+@pytest.mark.parametrize("name", RANK_MODULES)
+def test_rank_modules_use_no_float(name):
+    assert _floats(ast.parse((SRC / name).read_text())) == []
+
+
+def test_float_check_sees_floats():
+    source = "a = float(x)\nb = 1 / 2\nc = 0.5\nd = 1e-9\ne = 2j\nf = int('3')\n"
+    assert [line for line, _ in _floats(ast.parse(source))] == [1, 3, 4, 5]

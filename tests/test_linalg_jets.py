@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from singcalc.germs import _tilde_f_coords
+from singcalc.germs import _tilde_f_coords, corank
 from singcalc.jets import Jet2, hessian_ad, jacobian_ad, jacobian_fd, seed
 from singcalc.linalg import bareiss_rank, cokernel_basis, kernel_basis, rref
 
@@ -14,6 +14,101 @@ from singcalc.linalg import bareiss_rank, cokernel_basis, kernel_basis, rref
 def _random_matrix(rng, rows, cols):
     return [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
              for _ in range(cols)] for _ in range(rows)]
+
+
+def _low_rank_matrix(rng, rows, cols):
+    # a product of random rows x r and r x cols factors has rank <= r
+    r = rng.randint(0, min(rows, cols))
+    left = _random_matrix(rng, rows, r)
+    right = _random_matrix(rng, r, cols)
+    return [[sum((left[i][l] * right[l][j] for l in range(r)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+# Reference: Gauss-Jordan in Fraction arithmetic, the textbook route the
+# integer elimination in singcalc.linalg must reproduce exactly.
+
+def _ref_rref(mat):
+    m = [[Fraction(v) for v in row] for row in mat]
+    if not m or not m[0]:
+        return m, []
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _ref_kernel(mat):
+    if not mat or not mat[0]:
+        return []
+    red, pivots = _ref_rref(mat)
+    cols = len(mat[0])
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -red[i][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_cokernel(mat):
+    if not mat:
+        return []
+    rows, cols = len(mat), len(mat[0])
+    if cols == 0:
+        return [tuple(Fraction(int(i == j)) for j in range(rows)) for i in range(rows)]
+    return _ref_kernel([[mat[i][j] for i in range(rows)] for j in range(cols)])
+
+
+def _assert_matches_reference(mat):
+    red, pivots = rref(mat)
+    assert (red, pivots) == _ref_rref(mat)
+    assert [[str(v) for v in row] for row in red] == \
+        [[str(v) for v in row] for row in _ref_rref(mat)[0]]
+    assert kernel_basis(mat) == _ref_kernel(mat)
+    assert cokernel_basis(mat) == _ref_cokernel(mat)
+    assert bareiss_rank(mat) == len(pivots)
+    assert corank(mat).rank == bareiss_rank(mat)
+
+
+def test_integer_rref_equals_fraction_reference_on_rank_deficient_matrices():
+    rng = random.Random(13)
+    deficient = 0
+    for _ in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        mat = _low_rank_matrix(rng, rows, cols)
+        deficient += bareiss_rank(mat) < min(rows, cols)
+        _assert_matches_reference(mat)
+    assert deficient > 200  # the seeded family really is rank-deficient
+
+
+@pytest.mark.parametrize("mat", [
+    [], [[]], [[], []],
+    [[0, 0, 0]], [[0], [0], [0]], [[0, 0], [0, 0]],
+    [[Fraction(3, 4), 0, -2, Fraction(1, 3)]],
+    [[Fraction(-2, 5)], [0], [7]],
+    [[1, 2], [2, 4], [3, 6]],
+    [[0, 2, 4], [0, 1, 2], [0, 0, 0]],
+])
+def test_integer_rref_equals_fraction_reference_on_edge_shapes(mat):
+    _assert_matches_reference(mat)
 
 
 def test_rank_routes_agree():
