@@ -10,6 +10,11 @@ bound comes from --max-deg or the environment variable SINGCALC_MAX_DEG.
 gtp, morin and total-sw do not truncate without one. The verifiers have a
 default of their own, 4(k+1) for most, and raise any bound to the degree
 their identity lives in.
+
+Cost bounds live beside the work they bound and refuse it with a ValueError,
+a usage error here: thom.GTP_MAX_R in thom.gtp (met by gtp, the verify verbs
+and the suite), germs.STRATIFY_MAX_POINTS in germs.stratify_grid and
+bundles.TOTAL_SW_MAX_PRODUCTS in bundles.check_total_sw_cost (run by total-sw).
 """
 
 from __future__ import annotations
@@ -55,38 +60,6 @@ def _resolve_max_deg(opt, degree=None, formula=None):
     return d
 
 
-# The 2^r-state determinant memo grows about 6-8x per step in r: gtp takes
-# 0.8-1.6 s at r = 10 on a 2-core machine, and several seconds (and hundreds
-# of MB) at r = 11.
-GTP_MAX_R = 10
-
-
-# Rank-only stratification costs 0.4-1.3 ms per grid point at (n,k) = (4,1)
-# to (10,4) on a 2-core machine, so a scan at the bound takes 8-26 s.
-STRATIFY_MAX_POINTS = 20_000
-
-
-def _check_scan_cost(n: int, grid: list, t_grid) -> None:
-    """Refuse, before any work, a stratify scan over more than
-    STRATIFY_MAX_POINTS points: |grid|^n for df, and as many again per t."""
-    passes = 1 + (len(t_grid) if t_grid is not None else 0)
-    points = passes
-    # the power stops growing once it is over the bound, so a huge n is cheap
-    for _ in range(n if len(grid) > 1 else 0):
-        points *= len(grid)
-        if points > STRATIFY_MAX_POINTS:
-            raise click.UsageError(
-                f"the scan would visit |grid|^n x (1 + |t-grid|) = {len(grid)}^{n} x {passes} "
-                f"points, over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
-
-
-# bundles.total_sw_cost estimates the monomial products of a total-sw, with or
-# without a degree bound. On a 2-core machine a sum of five rank-8 bundles
-# (66 465 products, 59 049 terms) prints in 2 s, or in 4 s and 170 MB with
-# --json; a sum of 200 rank-8 bundles runs for minutes and takes hundreds of MB.
-TOTAL_SW_MAX_PRODUCTS = 100_000
-
-
 def _run(fn, *args, **kwargs):
     # domain validation errors are usage errors at the CLI boundary (exit 2)
     try:
@@ -102,6 +75,16 @@ def _emit(report: Report, as_json: bool) -> None:
         click.echo(report.to_text())
     if report.status == FAIL:
         sys.exit(1)
+
+
+def _echo_result(as_json: bool, command: str, params: dict, text, payload) -> None:
+    """Print a calculator's result: text(), or under --json the command, its
+    params and the fields of payload(). Each is built only when printed, as
+    str and poly_to_json both sort every term."""
+    if as_json:
+        click.echo(json.dumps({"command": command, "params": params, **payload()}, indent=2))
+    else:
+        click.echo(text())
 
 
 def _parse_fractions(text: str, what: str):
@@ -138,17 +121,10 @@ def tpcalc():
 @click.option("--json", "as_json", is_flag=True)
 def gtp_cmd(r, l, max_deg, as_json):
     """Determinantal class of the corank-r locus in codimension l."""
-    if r > GTP_MAX_R:
-        raise click.UsageError(f"--r {r} exceeds the cost bound GTP_MAX_R = {GTP_MAX_R}: "
-                               "the determinant memo has 2^r states")
     d = _resolve_max_deg(max_deg, r * (l + r), "r(l+r)")
     p = _run(thom.gtp, r, l, d)
-    if as_json:
-        click.echo(json.dumps({"command": "gtp",
-                               "params": {"r": r, "l": l, "max_degree": d},
-                               "polynomial": poly_to_json(p)}, indent=2))
-    else:
-        click.echo(str(p))
+    _echo_result(as_json, "gtp", {"r": r, "l": l, "max_degree": d},
+                 lambda: str(p), lambda: {"polynomial": poly_to_json(p)})
 
 
 @tpcalc.command("morin")
@@ -162,21 +138,12 @@ def morin_cmd(r, k, integral, max_deg, as_json):
     d = _resolve_max_deg(max_deg, r * (k + 1), "r(k+1)")
     if integral:
         c = _run(thom.morin_tp_integral, r, k)
-        if as_json:
-            click.echo(json.dumps({"command": "morin",
-                                   "params": {"r": r, "k": k, "integral": True},
-                                   "class": iclass_to_json(c)}, indent=2))
-        else:
-            click.echo(str(c))
+        _echo_result(as_json, "morin", {"r": r, "k": k, "integral": True},
+                     lambda: str(c), lambda: {"class": iclass_to_json(c)})
         return
     p = _run(thom.morin_tp, r, k, d)
-    if as_json:
-        click.echo(json.dumps({"command": "morin",
-                               "params": {"r": r, "k": k, "integral": False,
-                                          "max_degree": d},
-                               "polynomial": poly_to_json(p)}, indent=2))
-    else:
-        click.echo(str(p))
+    _echo_result(as_json, "morin", {"r": r, "k": k, "integral": False, "max_degree": d},
+                 lambda: str(p), lambda: {"polynomial": poly_to_json(p)})
 
 
 @tpcalc.command("total-sw")
@@ -206,13 +173,7 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
             raise click.UsageError(f"--rank expects an integer rank, got {spec!r}")
     d = _resolve_max_deg(max_deg)
     tree = _run(parse_bundle_expr, expr, ranks)
-    if _run(bundles.total_sw_cost, tree, d) > TOTAL_SW_MAX_PRODUCTS:
-        what, hint = (("the untruncated total class", "pass --max-deg to truncate it")
-                      if d is None else
-                      (f"the total class to degree {d}", "pass a lower --max-deg"))
-        raise click.UsageError(
-            f"{what} would take more monomial products than the cost bound "
-            f"TOTAL_SW_MAX_PRODUCTS = {TOTAL_SW_MAX_PRODUCTS}; {hint}")
+    _run(bundles.check_total_sw_cost, tree, d)
     rank, total = _run(bundles.total_sw, tree, d)
     if regime != "none":
         if k is None:
@@ -220,15 +181,10 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
         reg = {"prim": Prim(k), "twisted": TwistedPrim(k, tag),
                "nu1": MorinNu1(k, tag)}[regime]
         total = apply_regime(total, reg)
-    if as_json:
-        click.echo(json.dumps({"command": "total-sw",
-                               "params": {"expr": expr, "ranks": ranks,
-                                          "regime": regime, "k": k, "tag": tag},
-                               "rank": rank, "total": poly_to_json(total)},
-                              indent=2))
-    else:
-        click.echo(f"rank {rank}")
-        click.echo(str(total))
+    _echo_result(as_json, "total-sw",
+                 {"expr": expr, "ranks": ranks, "regime": regime, "k": k, "tag": tag},
+                 lambda: f"rank {rank}\n{total}",
+                 lambda: {"rank": rank, "total": poly_to_json(total)})
 
 
 @tpcalc.group("verify")
@@ -378,7 +334,6 @@ def stratify_cmd(n, k, grid, t_grid, as_json):
     against the closed-form singular-locus equations."""
     gvals = _parse_fractions(grid, "grid")
     tvals = None if t_grid is None else _parse_fractions(t_grid, "t-grid")
-    _check_scan_cost(n, gvals, tvals)
     _emit(_run(germs.stratify_grid, n, k, gvals, tvals), as_json)
 
 
@@ -396,7 +351,6 @@ def scan_sigma2_cmd(n, k, grid, t_grid, report_path, as_json):
     profile is reported verbatim, not asserted."""
     gvals = _parse_fractions(grid, "grid")
     tvals = gvals if t_grid is None else _parse_fractions(t_grid, "t-grid")
-    _check_scan_cost(n, gvals, tvals)
     rep = _run(germs.stratify_grid, n, k, gvals, tvals)
     rep.command = "germlab scan-sigma2"
     if report_path:

@@ -41,15 +41,23 @@ class GermPoint:
     s: Vec = ()
     t: Optional[Fraction] = None
 
+    def __post_init__(self):
+        # exact coordinates however the point is built: an int z would make
+        # q2 = 1 + z^2 + z^4 an int, and int / int a float
+        object.__setattr__(self, "x", tuple(map(Fraction, self.x)))
+        object.__setattr__(self, "y", Fraction(self.y))
+        object.__setattr__(self, "z", Fraction(self.z))
+        object.__setattr__(self, "s", tuple(map(Fraction, self.s)))
+        if self.t is not None:
+            object.__setattr__(self, "t", Fraction(self.t))
+
     @staticmethod
     def make(n: int, k: int, coords: Sequence, t=None) -> "GermPoint":
         _validate_dims(n, k)
-        vals = [Fraction(c) for c in coords]
-        if len(vals) != n:
-            raise ValueError(f"expected {n} coordinates, got {len(vals)}")
-        return GermPoint(tuple(vals[:2 * k]), vals[2 * k], vals[2 * k + 1],
-                         tuple(vals[2 * k + 2:]),
-                         None if t is None else Fraction(t))
+        if len(coords) != n:
+            raise ValueError(f"expected {n} coordinates, got {len(coords)}")
+        return GermPoint(tuple(coords[:2 * k]), coords[2 * k], coords[2 * k + 1],
+                         tuple(coords[2 * k + 2:]), t)
 
     def coords(self) -> List[Fraction]:
         return list(self.x) + [self.y, self.z] + list(self.s)
@@ -326,6 +334,11 @@ def corank(matrix: Sequence[Sequence]) -> JetReport:
 
 # stratification ------------------------------------------------------------
 
+# Rank-only stratification costs 0.4-1.3 ms per grid point at (n,k) = (4,1)
+# to (10,4) on a 2-core machine, so a scan at the bound takes 8-26 s.
+STRATIFY_MAX_POINTS = 20_000
+
+
 def stratify_grid(n: int, k: int, grid: Sequence,
                   t_values: Optional[Sequence] = None) -> Report:
     """Scan a product grid: corank of df everywhere, cross-checked against
@@ -336,6 +349,14 @@ def stratify_grid(n: int, k: int, grid: Sequence,
     vals = [Fraction(g) for g in grid]
     if not vals:
         raise ValueError("empty grid")
+    points = passes = 1 + len(t_values or ())
+    # the power stops growing once it is over the bound, so a huge n is cheap
+    for _ in range(n if len(vals) > 1 else 0):
+        points *= len(vals)
+        if points > STRATIFY_MAX_POINTS:
+            raise ValueError(
+                f"the scan of |grid|^n x (1 + |t-grid|) = {len(vals)}^{n} x {passes} points "
+                f"is over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
     report = Report("stratify", {"n": n, "k": k,
                                  "grid": [str(g) for g in vals],
                                  "t_values": None if t_values is None else

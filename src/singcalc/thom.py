@@ -90,8 +90,17 @@ def _det(mat: List[List[GF2Poly]], max_degree: Optional[int]) -> GF2Poly:
     return GF2Poly(frozenset(pk.unpack(x) for x in terms), bound)
 
 
+# The 2^r-state determinant memo grows about 6-8x per step in r: gtp takes
+# 0.8-1.6 s at r = 10 on a 2-core machine, and several seconds (and hundreds
+# of MB) at r = 11.
+GTP_MAX_R = 10
+
+
 def gtp(r: int, l: int, max_degree: Optional[int] = None) -> GF2Poly:
     """Class of the corank-r locus of a codimension-l map, degree r(l+r)."""
+    if r > GTP_MAX_R:
+        raise ValueError(f"corank r = {r} is over the cost bound GTP_MAX_R = {GTP_MAX_R}; "
+                         "the determinant memo has 2^r states")
     return _det(gtp_matrix(r, l, max_degree), max_degree)
 
 

@@ -2,6 +2,7 @@
 test runner: output formats, exit codes, env overrides."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -103,12 +104,63 @@ def test_gtp_cost_guard_refuses_before_any_work(runner, monkeypatch):
         raise AssertionError("the determinant must not run")
 
     monkeypatch.setattr(thom, "_det", no_det)
-    res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(cli.GTP_MAX_R + 1), "--l", "0"])
+    res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(thom.GTP_MAX_R + 1), "--l", "0"])
     assert res.exit_code == 2
-    assert f"GTP_MAX_R = {cli.GTP_MAX_R}" in res.output
+    assert f"GTP_MAX_R = {thom.GTP_MAX_R}" in res.output
     # at the bound itself the command gets as far as the determinant
-    res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(cli.GTP_MAX_R), "--l", "0"])
+    res = runner.invoke(cli.tpcalc, ["gtp", "--r", str(thom.GTP_MAX_R), "--l", "0"])
     assert isinstance(res.exception, AssertionError)
+
+
+@pytest.mark.parametrize("verb", ["prim", "prim-coincidence"])
+def test_verify_prim_meets_the_gtp_cost_bound(runner, monkeypatch, verb):
+    def no_det(mat, max_degree):
+        raise AssertionError("the determinant must not run")
+
+    monkeypatch.setattr(thom, "_det", no_det)
+    bound = f"GTP_MAX_R = {thom.GTP_MAX_R}"
+    for r in (thom.GTP_MAX_R + 1, 30):
+        res = runner.invoke(cli.tpcalc, ["verify", verb, "--r", str(r), "--k", str(r)])
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert bound in res.output
+    # at the bound itself the verifier gets as far as the determinant
+    r = str(thom.GTP_MAX_R)
+    res = runner.invoke(cli.tpcalc, ["verify", verb, "--r", r, "--k", r])
+    assert isinstance(res.exception, AssertionError)
+    # library callers meet the same bound
+    with pytest.raises(ValueError, match=bound):
+        thom.verify_prim_coincidence(thom.GTP_MAX_R + 1, thom.GTP_MAX_R + 1)
+
+
+OVER_SUM = " + ".join(["nu_f"] * 200)
+COST_REFUSALS = {
+    "gtp": (lambda: thom.gtp(thom.GTP_MAX_R + 1, 0), "GTP_MAX_R", thom.GTP_MAX_R,
+            cli.tpcalc, ["gtp", "--r", str(thom.GTP_MAX_R + 1), "--l", "0"]),
+    "scan": (lambda: germs.stratify_grid(4, 1, range(10), range(2)),
+             "STRATIFY_MAX_POINTS", germs.STRATIFY_MAX_POINTS,
+             cli.germlab, ["stratify", "--n", "4", "--k", "1", "--grid", "0,1,2,3,4,5,6,7,8,9",
+                           "--t-grid", "0,1"]),
+    "total-sw": (lambda: bundles.check_total_sw_cost(
+                     bundles.parse_bundle_expr(OVER_SUM, {"nu_f": 8})),
+                 "TOTAL_SW_MAX_PRODUCTS", bundles.TOTAL_SW_MAX_PRODUCTS,
+                 cli.tpcalc, ["total-sw", OVER_SUM]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COST_REFUSALS))
+def test_cost_refusals_share_one_message_shape(runner, case):
+    work, name, value, group, argv = COST_REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        work()
+    message = str(info.value)
+    shape = re.fullmatch(r"(.+) is over the cost bound (\w+) = (\d+)(; .+)?", message)
+    assert shape is not None, message
+    assert shape.group(2, 3) == (name, str(value))
+    # the CLI prints the library's refusal as is, with exit 2
+    res = runner.invoke(group, argv)
+    assert res.exit_code == 2
+    assert f"Error: {message}\n" in res.output
 
 
 def test_total_sw_refuses_a_negative_degree_bound(runner):
@@ -130,12 +182,12 @@ def test_total_sw_cost_guard_refuses_before_any_work(runner, monkeypatch):
         raise AssertionError("total_sw must not run")
 
     monkeypatch.setattr(bundles, "total_sw", no_total)
-    bound = f"TOTAL_SW_MAX_PRODUCTS = {cli.TOTAL_SW_MAX_PRODUCTS}"
+    bound = f"TOTAL_SW_MAX_PRODUCTS = {bundles.TOTAL_SW_MAX_PRODUCTS}"
     rank_of = {n: 8 for n in "ABCDE"}
     ranks = [arg for n in rank_of for arg in ("--rank", f"{n}=8")]
     fits, over = "A + B + C + D + E", "A + B + C + D + E + eps(1)"
     assert (bundles.total_sw_cost(bundles.parse_bundle_expr(fits, rank_of))
-            <= cli.TOTAL_SW_MAX_PRODUCTS
+            <= bundles.TOTAL_SW_MAX_PRODUCTS
             < bundles.total_sw_cost(bundles.parse_bundle_expr(over, rank_of)))
     for expr in (over, " + ".join(["nu_f"] * 200)):
         res = runner.invoke(cli.tpcalc, ["total-sw", expr] + ranks)
@@ -153,7 +205,7 @@ def test_total_sw_cost_guard_applies_with_a_degree_bound(runner, monkeypatch):
         raise AssertionError("total_sw must not run")
 
     monkeypatch.setattr(bundles, "total_sw", no_total)
-    bound = f"TOTAL_SW_MAX_PRODUCTS = {cli.TOTAL_SW_MAX_PRODUCTS}"
+    bound = f"TOTAL_SW_MAX_PRODUCTS = {bundles.TOTAL_SW_MAX_PRODUCTS}"
     eight = " + ".join("ABCDEFGH")
     ranks = [arg for n in "ABCDEFGH" for arg in ("--rank", f"{n}=8")]
     # eight rank-8 bundles: a bound at or above the total's degree (64) cuts
@@ -379,10 +431,10 @@ def test_stratify_cost_guard_refuses_before_any_work(runner, monkeypatch):
         raise AssertionError("the scan must not start")
 
     monkeypatch.setattr(germs, "jacobian_f", no_scan)
-    bound = f"STRATIFY_MAX_POINTS = {cli.STRATIFY_MAX_POINTS}"
+    bound = f"STRATIFY_MAX_POINTS = {germs.STRATIFY_MAX_POINTS}"
     # ten grid values at n = 4 are 10^4 points per pass, df's and one per t
     grid = ",".join(str(v) for v in range(10))
-    passes = cli.STRATIFY_MAX_POINTS // 10 ** 4
+    passes = germs.STRATIFY_MAX_POINTS // 10 ** 4
     assert passes >= 2
     fits = ",".join(str(v) for v in range(passes - 1))
     over = ",".join(str(v) for v in range(passes))

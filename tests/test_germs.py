@@ -32,6 +32,19 @@ def test_point_validation():
 REF = GermPoint.make(4, 1, [-2, 1, -3, 1])
 
 
+def test_int_built_point_is_exact():
+    # built directly with ints, the point holds Fractions as make's does, so
+    # no int / int division rounds through a float
+    made = GermPoint.make(4, 1, [1, 2, 0, 1], t=3)
+    direct = GermPoint((1, 2), 0, 1, (), 3)
+    assert direct == made
+    assert all(type(c) is Fraction for c in direct.coords() + [direct.t])
+    assert sigma_closed(4, 1, direct) == sigma_closed(4, 1, made)
+    assert sigma_closed(4, 1, direct)[0] == Fraction(-4, 3)
+    assert tilde_f(4, 1, direct) == tilde_f(4, 1, made)
+    assert jacobian_tilde_f(4, 1, direct) == jacobian_tilde_f(4, 1, made)
+
+
 def test_reference_point_values():
     # frozen values at a point on the kernel-line locus
     assert on_sigma(4, 1, REF)

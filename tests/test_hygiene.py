@@ -1,8 +1,10 @@
 """Source hygiene: every name a module imports is used in that module, only
-the CLI's degree-bound resolver reads the environment, the GF(2) kernel
-modules keep no cache, and no float reaches the exact rank decisions."""
+the CLI's degree-bound resolver reads the environment, the CLI defines no
+cost bound of its own, the GF(2) kernel modules keep no cache, and no float
+reaches the exact rank decisions."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -52,6 +54,32 @@ def test_only_the_degree_bound_resolver_reads_the_environment():
     reads = [(path.name, func) for path in sorted(SRC.glob("*.py"))
              for func in _env_reads(ast.parse(path.read_text()))]
     assert reads == [("cli.py", "_resolve_max_deg")]
+
+
+# A cost bound defined in the CLI guards only the CLI's route to the work;
+# each bound lives in the library function whose work it bounds.
+BOUND_NAME = re.compile(r"(^|_)MAX(_|$)")
+
+
+def _module_bounds(tree: ast.Module) -> list:
+    """Module-level names that look like bounds (FOO_MAX_BAR, MAX_FOO)."""
+    out = []
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        out += [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and BOUND_NAME.search(n.id)]
+    return out
+
+
+def test_cli_defines_no_cost_bound():
+    assert _module_bounds(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def test_bound_check_sees_bounds():
+    source = ("GTP_MAX_R = 10\nMAX_DEPTH: int = 200\nLIMIT = 3\nMAXIMAL = 1\n"
+              "A, SCAN_MAX = 1, 2\ndef f():\n    LOCAL_MAX_N = 1\n")
+    assert _module_bounds(ast.parse(source)) == ["GTP_MAX_R", "MAX_DEPTH", "SCAN_MAX"]
 
 
 # A cache in the kernel could hide an injected fault behind an earlier
