@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Union
 
-from .gf2 import ONE_MONO, GF2Poly, _bound_min, inverse_total, linegen, mono, wgen
+from .gf2 import (ONE_MONO, GF2Poly, _bound_min, inverse_total, linegen, mono_degree, mono_mul,
+                  split_above, wgen)
 
 STABLE_BUNDLE_NAME = "nu_f"  # its classes are the anonymous w_i
 
@@ -101,16 +102,17 @@ def tensor_line(tag: str, rank: int, total: GF2Poly, max_degree: Optional[int]) 
         raise ValueError("tensor_line needs rank >= 0")
     if total.homogeneous_part(0) != GF2Poly.one():
         raise ValueError("total class must have constant term 1")
-    top = rank if max_degree is None else max_degree
+    # C(rank - i, j - i) = 0 for j > rank: no output degree exceeds the rank
+    top = rank if max_degree is None else min(rank, max_degree)
     t = GF2Poly.gen(linegen(tag))
     tpow = [GF2Poly.one(max_degree)]
     for _ in range(top):
         tpow.append(tpow[-1] * t)
-    parts = [total.homogeneous_part(i) for i in range(min(rank, top) + 1)]
+    parts = [total.homogeneous_part(i) for i in range(top + 1)]
     # one accumulator for all the terms, so the work is linear in the output
     acc: set = set()
     for j in range(0, top + 1):
-        for i in range(0, min(j, rank) + 1):
+        for i in range(0, j + 1):
             if comb(rank - i, j - i) % 2 == 0 or parts[i].is_zero():
                 continue
             acc ^= (tpow[j - i] * parts[i]).terms
@@ -298,30 +300,22 @@ Regime = Union[Prim, TwistedPrim]
 
 
 def apply_regime(p: GF2Poly, regime: Regime) -> GF2Poly:
-    """Normal form of p under the regime's rewriting (anonymous w's only)."""
+    """Normal form of p under the regime's rewriting (anonymous w's only).
+    Neither rewriting changes a term's degree."""
     k = regime.k
     if isinstance(regime, Prim):
-        kept = [m for m in p.terms
-                if all(not (g[0] == "w" and g[1] == "" and g[2] > k + 1) for g, _ in m)]
-        return GF2Poly.from_terms(kept, p.max_degree)
+        return GF2Poly(frozenset(m for m in p.terms if not split_above(m, k + 1)[0]),
+                       p.max_degree)
     tag = linegen(regime.tag)
     out = set()
     for m in p.terms:
-        pairs = []
-        t_extra = 0
-        k1_extra = 0
-        for g, e in m:
-            if g[0] == "w" and g[1] == "" and g[2] >= k + 2:
-                t_extra += (g[2] - (k + 1)) * e
-                k1_extra += e
-            else:
-                pairs.append((g, e))
-        if t_extra:
-            pairs.append((tag, t_extra))
-        if k1_extra:
-            pairs.append((wgen(k + 1), k1_extra))
-        out ^= {mono(pairs)}
-    return GF2Poly.from_terms(out, p.max_degree)
+        high, rest = split_above(m, k + 1)
+        if high:
+            # each w_i^e of the high ones becomes t^((i-k-1)e) * w_{k+1}^e
+            e = sum(x for _, x in high)
+            m = mono_mul(rest, ((wgen(k + 1), e), (tag, mono_degree(high) - (k + 1) * e)))
+        out ^= {m}
+    return GF2Poly(frozenset(out), p.max_degree)
 
 
 # ---------------------------------------------------------------------------

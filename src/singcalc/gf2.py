@@ -7,9 +7,9 @@ A polynomial is a set of monomials; adding a monomial twice cancels it.
 
 Every monomial is canonical: a tuple of (generator, exponent) pairs sorted
 by gen_sort_key, each generator at most once, every exponent >= 1, so equal
-monomials are equal tuples. mono() makes one from pairs in any order;
-mono_mul, sq1 and the ring operations take canonical monomials and return
-canonical ones by merging sorted sequences, without re-sorting.
+monomials are equal tuples. Only this module knows that layout: monomials
+are edited by split (and split_above) and mono_mul, which keep them canonical
+without re-sorting, and mono() sorts only outside input (poly_from_json).
 
 The module also implements the first Steenrod square sq1 as a derivation
 acting on generators through the Wu formula, its exact preimage solver,
@@ -121,6 +121,28 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(out) + m1[i:] + m2[j:]
 
 
+def split(m: tuple, g: tuple) -> tuple:
+    """(exponent of g in m, m without g); the rest is a subsequence of m,
+    so it is canonical."""
+    for j, (h, e) in enumerate(m):
+        if h == g:
+            return e, m[:j] + m[j + 1:]
+    return 0, m
+
+
+def split_above(m: tuple, i: int) -> tuple:
+    """(the pairs of the anonymous w_j with j > i in m, the rest of m). The
+    anonymous w's lead a canonical monomial in index order, so both parts
+    are runs of m and canonical."""
+    lo = hi = 0
+    for g, _ in m:
+        if g[0] != "w" or g[1] != "":
+            break
+        lo += g[2] <= i
+        hi += 1
+    return m[lo:hi], m[:lo] + m[hi:]
+
+
 def mono_degree(m: tuple) -> int:
     return sum(g[2] * e if g[0] == "w" else e for g, e in m)
 
@@ -221,7 +243,7 @@ class GF2Poly:
 
     @staticmethod
     def gen(g: tuple, max_degree: Optional[int] = None) -> "GF2Poly":
-        return GF2Poly.from_terms([mono([(g, 1)])], max_degree)
+        return GF2Poly.from_terms([((g, 1),)], max_degree)
 
     # predicates -----------------------------------------------------------
 
@@ -428,12 +450,12 @@ def _to_xy(p: GF2Poly) -> set:
 def _from_xy(monos: set) -> GF2Poly:
     acc: set = set()
     for c, pairs in monos:
-        poly = GF2Poly.one() if c == 0 else GF2Poly.from_terms([mono([(wgen(1), c)])])
+        poly = GF2Poly.one() if c == 0 else GF2Poly.from_terms([((wgen(1), c),)])
         for i, a, b in pairs:
             if a:
-                poly = poly * GF2Poly.from_terms([mono([(wgen(2 * i), a)])])
+                poly = poly * GF2Poly.from_terms([((wgen(2 * i), a),)])
             if b:
-                yb = wpoly(2 * i + 1) + GF2Poly.from_terms([mono([(wgen(1), 1), (wgen(2 * i), 1)])])
+                yb = wpoly(2 * i + 1) + GF2Poly.from_terms([((wgen(1), 1), (wgen(2 * i), 1))])
                 poly = poly * yb ** b
         acc ^= poly.terms
     return GF2Poly(frozenset(acc))

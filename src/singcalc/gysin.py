@@ -3,13 +3,13 @@ singular loci.
 
 Classes on P(TM) are polynomials in the tautological line class a with
 coefficients in the independent generator families w_i(TM) (rank n) and
-w_i(F) (rank n+k; F plays the pulled-back target tangent bundle).  The
-fiber integration q_! sends a^m to the degree-(m-n+1) part of the inverse
-total class of TM.
+w_i(F) (rank n+k; F plays the pulled-back target tangent bundle).
 
-i_push implements the projection-formula pushforward along the inclusion
-of a singular locus whose normal data contributes w_{k+m+1} for the m-th
-power of the kernel line class.
+Both pushforwards are one linear map, g^m * X -> image(m) * X for X free
+of the line class g, with the degree cut made once per term. The fiber
+integration q_! sends a^m to the degree-(m-n+1) part of the inverse total
+class of TM; i_push, along the inclusion of a singular locus whose normal
+data contributes w_{k+m+1}, sends t^m to w_{k+m+1}.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 from .bundles import Named, total_sw
 from .gf2 import (GF2Poly, inverse_total, linegen, mono_degree, mono_mul, poly_to_json,
-                  verifier_bound, wgen, wpoly)
+                  split, verifier_bound, wgen, wpoly)
 from .reports import INFO, Report
 
 TAUT_TAG = "a"
@@ -48,6 +48,19 @@ def zero_locus_class(n: int, k: int, max_degree: Optional[int] = None) -> GF2Pol
     return GF2Poly(frozenset(acc), max_degree)
 
 
+def _push(x: GF2Poly, g: tuple, image, max_degree: Optional[int]) -> GF2Poly:
+    """Send g^m * X to image(m) * X for X free of g; image(m) is (degree, monomials)."""
+    acc: set = set()
+    for m in x.terms:
+        e, rest = split(m, g)
+        degree, monos = image(e)
+        if max_degree is not None and degree + mono_degree(rest) > max_degree:
+            continue
+        for w in monos:
+            acc ^= {mono_mul(w, rest)}
+    return GF2Poly(frozenset(acc), max_degree)
+
+
 def q_push(x: GF2Poly, n: int, max_degree: int,
            tm_inverse: Optional[GF2Poly] = None) -> GF2Poly:
     """Fiber integration along q: P(TM) -> M.
@@ -62,46 +75,18 @@ def q_push(x: GF2Poly, n: int, max_degree: int,
     parts: dict = {}  # the homogeneous parts of the inverse total class
     for w in tm_inverse.terms:
         parts.setdefault(mono_degree(w), []).append(w)
-    a = linegen(TAUT_TAG)
-    acc: set = set()
-    for m in x.terms:
-        a_exp = 0
-        rest = []
-        for g, e in m:
-            if g == a:
-                a_exp = e
-            else:
-                rest.append((g, e))
-        idx = a_exp - n + 1
-        if idx < 0 or idx + mono_degree(rest) > max_degree:
-            continue
-        rest = tuple(rest)  # a subsequence of m, so still canonical
-        for w in parts.get(idx, ()):
-            acc ^= {mono_mul(w, rest)}
-    return GF2Poly(frozenset(acc), max_degree)
+    return _push(x, linegen(TAUT_TAG),
+                 lambda m: (m - n + 1, parts.get(m - n + 1, ())), max_degree)
 
 
 def i_push(x: GF2Poly, k: int, max_degree: Optional[int] = None, tag: str = "t") -> GF2Poly:
     """Pushforward along a singular-locus inclusion, by the projection
     formula: t^m * X maps to w_{k+m+1} * X for X free of the line class."""
-    t = linegen(tag)
     other_tags = x.line_tags() - {tag}
     if other_tags:
         raise ValueError(f"i_push: unexpected line classes {sorted(other_tags)}")
-    out = set()
-    for m in x.terms:
-        t_exp = 0
-        rest = []
-        for g, e in m:
-            if g == t:
-                t_exp = e
-            else:
-                rest.append((g, e))
-        pushed = mono_mul(tuple(rest), ((wgen(k + t_exp + 1), 1),))
-        if max_degree is not None and mono_degree(pushed) > max_degree:
-            continue
-        out ^= {pushed}
-    return GF2Poly(frozenset(out), max_degree)
+    return _push(x, linegen(tag),
+                 lambda m: (k + m + 1, [((wgen(k + m + 1), 1),)]), max_degree)
 
 
 def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None) -> Report:
@@ -112,11 +97,12 @@ def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None)
     needed = k + r + 1
     d = verifier_bound(max_degree, needed, needed)
     report = Report("verify lemma-pushforward", {"n": n, "k": k, "r": r, "max_degree": d})
+    # only degree `needed` is compared, so both sides stop there whatever d is;
     # the inverse of w(TM) is common input to both sides, not a derivation
-    tm_inverse = inverse_total(tm_total(n, d), d)
-    lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, d, tm_inverse)
+    tm_inverse = inverse_total(tm_total(n, needed), needed)
+    lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, needed, tm_inverse)
     lhs = lhs.homogeneous_part(needed)
-    rhs = (f_total(n, k, d) * tm_inverse).homogeneous_part(needed)
+    rhs = (f_total(n, k, needed) * tm_inverse).homogeneous_part(needed)
     report.check_equal("fiber integration equals normal-class expansion", lhs, rhs,
                        detail=f"degree {needed}")
     report.artifacts["pushforward_side"] = poly_to_json(lhs)

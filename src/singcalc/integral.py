@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import GF2Poly, mono, poly_from_json, poly_to_json, sq1_preimage, wgen
+from .gf2 import GF2Poly, mono_degree, poly_from_json, poly_to_json, sq1_preimage, wgen
 
 # ---------------------------------------------------------------------------
 # free part: integer polynomials in p_1, p_2, ...
@@ -103,12 +103,9 @@ class IntPoly:
         return not self.terms
 
     def reduce_mod2(self) -> GF2Poly:
-        terms = []
-        for m, c in self.terms:
-            if c % 2 == 0:
-                continue
-            terms.append(mono([(wgen(2 * i), 2 * e) for i, e in m]))
-        return GF2Poly.from_terms(terms)
+        # p_i -> w_{2i}^2 keeps the order of a sorted p-monomial
+        return GF2Poly.from_terms(tuple((wgen(2 * i), 2 * e) for i, e in m)
+                                  for m, c in self.terms if c % 2)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -219,7 +216,7 @@ def v_class(indices: Iterable[int]) -> IntegralClass:
     idx = tuple(sorted(int(i) for i in indices))
     if not idx or any(i < 1 for i in idx):
         raise ValueError("v_class needs a nonempty tuple of positive indices")
-    m = GF2Poly.from_terms([mono([(wgen(i), idx.count(i)) for i in set(idx)])])
+    m = GF2Poly.from_terms([tuple((wgen(i), idx.count(i)) for i in sorted(set(idx)))])
     if sq1_preimage(m) is None:
         raise ValueError(f"w-monomial for indices {idx} is not in the image of sq1")
     return IntegralClass.from_torsion(m)
@@ -231,7 +228,7 @@ def torsion_in_sq1_image(c: IntegralClass) -> bool:
         return True
     ok = True
     # check degree by degree so mixed-degree torsion is still decidable
-    degrees = sorted({sum(g[2] * e for g, e in m) for m in c.torsion.terms})
+    degrees = sorted({mono_degree(m) for m in c.torsion.terms})
     for d in degrees:
         part = c.torsion.homogeneous_part(d)
         if sq1_preimage(part) is None:

@@ -15,8 +15,8 @@ from typing import List, Optional
 
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
 from .bundles import LineBundle, Named, Sum
-from .gf2 import (GF2Poly, Packing, _bound_min, linegen, mono, mono_degree, poly_to_json,
-                  verifier_bound, wgen, wpoly)
+from .gf2 import (GF2Poly, Packing, _bound_min, linegen, mono_degree, mono_mul, poly_to_json,
+                  split, verifier_bound, wgen, wpoly)
 from .gysin import i_push
 from .integral import IntegralClass, IntPoly, iclass_to_json, v_class
 from .reports import INFO, SKIPPED, Report
@@ -260,18 +260,17 @@ def _absorb_kernel_line(p: GF2Poly, k: int, tag: str = "t") -> GF2Poly:
     must run before the pushforward."""
     t = linegen(tag)
     wk1 = wgen(k + 1)
-    wk2 = wgen(k + 2)
     out: set = set()
     for m in p.terms:
-        exps = dict(m)
-        e = min(exps.get(t, 0), exps.get(wk1, 0))
+        et, rest = split(m, t)
+        ew, rest = split(rest, wk1)
+        e = min(et, ew)
         if e:
-            exps[t] -= e
-            exps[wk1] -= e
-            exps[wk2] = exps.get(wk2, 0) + e
-            m = mono([(g, x) for g, x in exps.items() if x])
+            # in generator order; the rewriting keeps the degree
+            pairs = ((wk1, ew - e), (wgen(k + 2), e), (t, et - e))
+            m = mono_mul(rest, tuple(pair for pair in pairs if pair[1]))
         out ^= {m}
-    return GF2Poly.from_terms(out, p.max_degree)
+    return GF2Poly(frozenset(out), p.max_degree)
 
 
 def verify_morin_derivation(r: int, k: int,
@@ -285,9 +284,10 @@ def verify_morin_derivation(r: int, k: int,
     projection formula t^m * X -> w_{k+m+1} * X after pair absorption."""
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
-    d = verifier_bound(max_degree, default_degree(k), r * (k + 1))
+    d = r * (k + 1)  # the class's degree: computed to it whatever the bound
     tag = "t"
-    report = Report("verify morin-derivation", {"r": r, "k": k, "max_degree": d})
+    report = Report("verify morin-derivation",
+                    {"r": r, "k": k, "max_degree": verifier_bound(max_degree, default_degree(k), d)})
 
     _, tot = total_sw(Sum(Named("nu_f", d), LineBundle(tag)), d)
     red = apply_regime(tot, MorinNu1(k, tag))

@@ -78,6 +78,21 @@ def test_tensor_line_rank_one():
     assert out == GF2Poly.one(D) + linepoly("t", D) + linepoly("u", D)
 
 
+def test_tensor_line_work_stops_at_the_rank(monkeypatch):
+    # C(rank - i, j - i) = 0 above the rank, so a higher bound adds no products
+    calls = []
+    mul = GF2Poly.__mul__
+    monkeypatch.setattr(GF2Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    counts, outputs = [], []
+    for d in (2, 3, 10, 40):
+        total = _named("E", 2)[1]
+        calls.clear()
+        outputs.append(tensor_line("t", 2, total, d))
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 4
+    assert outputs == [outputs[0]] * 4
+
+
 def test_tensor_line_validation():
     with pytest.raises(ValueError):
         tensor_line("t", -1, GF2Poly.one(D), D)

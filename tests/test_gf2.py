@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from singcalc.bundles import parse_bundle_expr, total_sw
 from singcalc.gf2 import (GF2Poly, Packing, _bound_min, gen_degree, inverse_total,
                           linegen, mono, mono_degree, mono_mul, parse_gen,
-                          poly_from_json, poly_to_json, sq1, sq1_preimage, wgen,
-                          wpoly)
+                          poly_from_json, poly_to_json, split, split_above, sq1,
+                          sq1_preimage, wgen, wpoly)
 from singcalc.gysin import tm_total
 
 GENS = ([wgen(i) for i in range(1, 6)] + [wgen(1, "E"), wgen(2, "E"), wgen(3, "E")]
@@ -136,6 +136,26 @@ long_monomials = st.lists(
 def test_mono_mul_is_mono_of_the_concatenation(m1, m2):
     assert mono_mul(m1, m2) == mono(list(m1) + list(m2))
     assert mono_degree(m1) == _plain_degree(m1)
+
+
+@given(long_monomials, st.sampled_from(GENS))
+@settings(max_examples=300)
+def test_split_is_mono_of_the_other_pairs(m, g):
+    e, rest = split(m, g)
+    assert rest == mono([(h, x) for h, x in m if h != g])
+    assert e == sum(x for h, x in m if h == g)
+    assert mono_mul(rest, ((g, e),) if e else ()) == m
+
+
+@given(long_monomials, st.integers(0, 6))
+@settings(max_examples=300)
+def test_split_above_is_mono_of_each_side(m, i):
+    def high(g):
+        return g[0] == "w" and g[1] == "" and g[2] > i
+
+    above, rest = split_above(m, i)
+    assert above == mono([(g, e) for g, e in m if high(g)])
+    assert rest == mono([(g, e) for g, e in m if not high(g)])
 
 
 def _bounds(a):

@@ -12,6 +12,7 @@ from singcalc.gysin import (F, TAUT_TAG, TM, f_total, i_push, q_push,
                             taut_class, tm_total, verify_pushforward,
                             zero_locus_class)
 from singcalc.reports import PASS
+import singcalc.gysin as gysin
 
 D = 12
 
@@ -175,6 +176,19 @@ def test_verify_pushforward_validation():
         verify_pushforward(2, -1, 1)
     with pytest.raises(ValueError):
         verify_pushforward(2, 1, -1)
+
+
+def test_verify_pushforward_computes_only_the_compared_degree(monkeypatch):
+    # a raised bound shows in the header and adds no work
+    seen = []
+    inverse = gysin.inverse_total
+    monkeypatch.setattr(gysin, "inverse_total", lambda a, d: seen.append(d) or inverse(a, d))
+    n, k, r = 4, 2, 1
+    high = verify_pushforward(n, k, r, 100)
+    assert seen == [k + r + 1]
+    default = verify_pushforward(n, k, r)
+    assert high.params["max_degree"] == 100
+    assert high.checks == default.checks and high.artifacts == default.artifacts
 
 
 @pytest.mark.parametrize("n,k,r", [(1, 0, 0), (2, 2, 1), (4, 3, 2), (3, 1, 4)])

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module, only
 the CLI's degree-bound resolver reads the environment, the CLI defines no
-cost bound of its own, the GF(2) kernel modules keep no cache, and no float
-reaches the exact rank decisions."""
+cost bound of its own, only gf2 knows how a monomial is laid out, the GF(2)
+kernel modules keep no cache, and no float reaches the exact rank
+decisions."""
 
 import ast
 import re
@@ -80,6 +81,54 @@ def test_bound_check_sees_bounds():
     source = ("GTP_MAX_R = 10\nMAX_DEPTH: int = 200\nLIMIT = 3\nMAXIMAL = 1\n"
               "A, SCAN_MAX = 1, 2\ndef f():\n    LOCAL_MAX_N = 1\n")
     assert _module_bounds(ast.parse(source)) == ["GTP_MAX_R", "MAX_DEPTH", "SCAN_MAX"]
+
+
+# Only gf2 knows how a monomial is laid out: other modules edit monomials
+# with gf2's split, split_above and mono_mul, which keep them canonical, and
+# mono(), which sorts, reads only input from outside the program.
+GEN_TAGS = ("w", "t")
+
+
+def _mono_calls(node: ast.AST, func=None) -> list:
+    """The enclosing function of every mono(...) call."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += _mono_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and getattr(
+                child.func, "id", getattr(child.func, "attr", "")) == "mono":
+            out.append(func)
+        out += _mono_calls(child, func)
+    return out
+
+
+def _tag_compares(tree: ast.Module) -> list:
+    """Lines of the comparisons that involve a generator tag "w" or "t"."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any(isinstance(c, ast.Constant) and c.value in GEN_TAGS
+                          for x in [node.left, *node.comparators] for c in ast.walk(x)))
+
+
+def test_only_poly_from_json_calls_mono():
+    calls = [(path.name, func) for path in sorted(SRC.glob("*.py"))
+             for func in _mono_calls(ast.parse(path.read_text()))]
+    assert calls == [("gf2.py", "poly_from_json")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "gf2.py"],
+                         ids=lambda p: p.name)
+def test_only_gf2_compares_generator_tags(path):
+    assert _tag_compares(ast.parse(path.read_text())) == []
+
+
+def test_layout_checks_see_planted_cases():
+    source = ("from . import gf2\nm = mono(p)\ndef f(g):\n    if g[0] == 'w':\n"
+              "        return gf2.mono(g)\n    return g[1] != \"t\" or g[0] in ('t',)\n"
+              "def poly_from_json(x):\n    return mono_mul(mono(x), ())\nopen(p, 'w')\n")
+    tree = ast.parse(source)
+    assert _mono_calls(tree) == [None, "f", "poly_from_json"]
+    assert _tag_compares(tree) == [4, 6, 6]
 
 
 # A cache in the kernel could hide an injected fault behind an earlier

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singcalc.bundles import LineBundle, Named, Sum
 from singcalc.gf2 import GF2Poly, linegen, mono, wgen, wpoly
 from singcalc.integral import IntPoly, v_class
 from singcalc.reports import FAIL, PASS, SKIPPED
@@ -217,6 +218,20 @@ def test_morin_derivation_verifier():
     assert any("pushforward" in n or "closed" in n for n in names)
     with pytest.raises(ValueError):
         verify_morin_derivation(0, 2)
+
+
+def test_morin_derivation_computes_only_the_class_degree(monkeypatch):
+    # a raised bound shows in the header and neither raises the rank of
+    # nu_f nor the degree the classes are computed to
+    seen = []
+    total_sw = thom.total_sw
+    monkeypatch.setattr(thom, "total_sw", lambda expr, d: seen.append((expr, d)) or total_sw(expr, d))
+    r, k = 3, 2
+    high = verify_morin_derivation(r, k, 100)
+    assert seen == [(Sum(Named("nu_f", r * (k + 1)), LineBundle("t")), r * (k + 1))]
+    default = verify_morin_derivation(r, k)
+    assert high.params["max_degree"] == 100
+    assert high.checks == default.checks and high.artifacts == default.artifacts
 
 
 def test_verifier_reports_carry_witnesses_on_failure(monkeypatch):
