@@ -91,13 +91,13 @@ def i_push(x: GF2Poly, k: int, max_degree: Optional[int] = None, tag: str = "t")
 
 def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None) -> Report:
     """Check that integrating a^r times the zero-locus class over the fibers
-    of P(TM) equals the degree-(k+r+1) part of total(F) / total(TM)."""
+    of P(TM) equals the degree-(k+r+1) part of total(F) / total(TM). Both
+    sides stop at that degree; a higher max_degree is only echoed in the header."""
     if n < 1 or k < 0 or r < 0:
         raise ValueError("need n >= 1, k >= 0, r >= 0")
     needed = k + r + 1
     d = verifier_bound(max_degree, needed, needed)
     report = Report("verify lemma-pushforward", {"n": n, "k": k, "r": r, "max_degree": d})
-    # only degree `needed` is compared, so both sides stop there whatever d is;
     # the inverse of w(TM) is common input to both sides, not a derivation
     tm_inverse = inverse_total(tm_total(n, needed), needed)
     lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, needed, tm_inverse)

@@ -129,7 +129,12 @@ def ppoly_to_json(p: IntPoly) -> list:
 def ppoly_from_json(obj: list) -> IntPoly:
     acc: dict = {}
     for c, pairs in obj:
-        m = tuple(sorted((int(name[1:]), int(e)) for name, e in pairs))
+        # outside input: merge a repeated p_i and drop zero exponents, so the
+        # p-monomial is canonical (reduce_mod2 relies on it)
+        m = tuple((int(name[1:]), int(e)) for name, e in pairs)
+        if any(e < 0 for _, e in m):
+            raise ValueError("negative exponent")
+        m = tuple(pair for pair in _pmono_mul(m, ()) if pair[1])
         acc[m] = acc.get(m, 0) + int(c)
     return IntPoly.from_dict(acc)
 
@@ -224,13 +229,6 @@ def v_class(indices: Iterable[int]) -> IntegralClass:
 
 def torsion_in_sq1_image(c: IntegralClass) -> bool:
     """Exact membership check for the torsion part (anonymous w-generators)."""
-    if c.torsion.is_zero():
-        return True
-    ok = True
     # check degree by degree so mixed-degree torsion is still decidable
-    degrees = sorted({mono_degree(m) for m in c.torsion.terms})
-    for d in degrees:
-        part = c.torsion.homogeneous_part(d)
-        if sq1_preimage(part) is None:
-            ok = False
-    return ok
+    return all(sq1_preimage(c.torsion.homogeneous_part(d)) is not None
+               for d in sorted({mono_degree(m) for m in c.torsion.terms}))

@@ -284,10 +284,9 @@ def verify_morin_derivation(r: int, k: int,
     projection formula t^m * X -> w_{k+m+1} * X after pair absorption."""
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
-    d = r * (k + 1)  # the class's degree: computed to it whatever the bound
+    d = verifier_bound(max_degree, default_degree(k), r * (k + 1))  # the reduction reads to d
     tag = "t"
-    report = Report("verify morin-derivation",
-                    {"r": r, "k": k, "max_degree": verifier_bound(max_degree, default_degree(k), d)})
+    report = Report("verify morin-derivation", {"r": r, "k": k, "max_degree": d})
 
     _, tot = total_sw(Sum(Named("nu_f", d), LineBundle(tag)), d)
     red = apply_regime(tot, MorinNu1(k, tag))

@@ -179,7 +179,7 @@ def test_verify_pushforward_validation():
 
 
 def test_verify_pushforward_computes_only_the_compared_degree(monkeypatch):
-    # a raised bound shows in the header and adds no work
+    # a raised bound is only echoed in the header: it adds no work
     seen = []
     inverse = gysin.inverse_total
     monkeypatch.setattr(gysin, "inverse_total", lambda a, d: seen.append(d) or inverse(a, d))

@@ -103,11 +103,19 @@ def _mono_calls(node: ast.AST, func=None) -> list:
     return out
 
 
+def _is_tag(node: ast.AST) -> bool:
+    """A tag "w" or "t", or a tuple, list or set literal holding one."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_is_tag, node.elts))
+    return isinstance(node, ast.Constant) and node.value in GEN_TAGS
+
+
 def _tag_compares(tree: ast.Module) -> list:
-    """Lines of the comparisons that involve a generator tag "w" or "t"."""
+    """Lines of the comparisons of a field of a generator tuple (a subscript
+    such as g[0]) with a generator tag."""
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
-                  and any(isinstance(c, ast.Constant) and c.value in GEN_TAGS
-                          for x in [node.left, *node.comparators] for c in ast.walk(x)))
+                  and any(map(_is_tag, [node.left, *node.comparators]))
+                  and any(isinstance(x, ast.Subscript) for x in [node.left, *node.comparators]))
 
 
 def test_only_poly_from_json_calls_mono():
@@ -123,9 +131,11 @@ def test_only_gf2_compares_generator_tags(path):
 
 
 def test_layout_checks_see_planted_cases():
+    # a tag compared with anything but a tuple field (fmt == "t") is no layout
     source = ("from . import gf2\nm = mono(p)\ndef f(g):\n    if g[0] == 'w':\n"
               "        return gf2.mono(g)\n    return g[1] != \"t\" or g[0] in ('t',)\n"
-              "def poly_from_json(x):\n    return mono_mul(mono(x), ())\nopen(p, 'w')\n")
+              "def poly_from_json(x):\n    return mono_mul(mono(x), ())\nopen(p, 'w')\n"
+              "ok = fmt == \"t\" or mode in ('w', 'a') or g[0] == 'x'\n")
     tree = ast.parse(source)
     assert _mono_calls(tree) == [None, "f", "poly_from_json"]
     assert _tag_compares(tree) == [4, 6, 6]

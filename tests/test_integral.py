@@ -100,3 +100,14 @@ def test_torsion_membership_rejects_nonboundaries():
 def test_json_roundtrip(c):
     assert iclass_from_json(iclass_to_json(c)) == c
     assert ppoly_from_json(ppoly_to_json(c.free)) == c.free
+
+
+def test_ppoly_from_json_canonicalizes_outside_input():
+    # a repeated p_i merges and a zero exponent drops, as for w-monomials
+    messy = ppoly_from_json([[1, [["p2", 1], ["p1", 0], ["p2", 2]]], [3, [["p1", 1]]]])
+    assert messy == IntPoly.p(2) ** 3 + IntPoly.p(1) * IntPoly.from_dict({(): 3})
+    assert messy.reduce_mod2() == wpoly(4) ** 6 + wpoly(2) ** 2
+    assert iclass_from_json({"free": [[1, [["p1", 1], ["p1", 1]]]], "torsion": []}).free \
+        == IntPoly.p(1) ** 2
+    with pytest.raises(ValueError):
+        ppoly_from_json([[1, [["p1", -1]]]])

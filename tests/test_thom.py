@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcalc.bundles import LineBundle, Named, Sum
+from singcalc.bundles import LineBundle, Named, Sum, TwistedPrim, apply_regime
 from singcalc.gf2 import GF2Poly, linegen, mono, wgen, wpoly
 from singcalc.integral import IntPoly, v_class
 from singcalc.reports import FAIL, PASS, SKIPPED
@@ -220,18 +220,30 @@ def test_morin_derivation_verifier():
         verify_morin_derivation(0, 2)
 
 
-def test_morin_derivation_computes_only_the_class_degree(monkeypatch):
-    # a raised bound shows in the header and neither raises the rank of
-    # nu_f nor the degree the classes are computed to
+def test_morin_derivation_checks_the_reduction_up_to_the_bound(monkeypatch):
+    # the reduction check compares every degree up to the bound, so a raised
+    # bound raises the rank of nu_f and the degree it is computed to
     seen = []
     total_sw = thom.total_sw
-    monkeypatch.setattr(thom, "total_sw", lambda expr, d: seen.append((expr, d)) or total_sw(expr, d))
+    monkeypatch.setattr(thom, "total_sw",
+                        lambda expr, d: seen.append((expr, d)) or total_sw(expr, d))
     r, k = 3, 2
-    high = verify_morin_derivation(r, k, 100)
-    assert seen == [(Sum(Named("nu_f", r * (k + 1)), LineBundle("t")), r * (k + 1))]
+    high = verify_morin_derivation(r, k, 20)
+    assert seen == [(Sum(Named("nu_f", 20), LineBundle("t")), 20)]
     default = verify_morin_derivation(r, k)
-    assert high.params["max_degree"] == 100
+    assert high.params["max_degree"] == 20
     assert high.checks == default.checks and high.artifacts == default.artifacts
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 6])
+def test_morin_derivation_sees_a_surviving_class_above_k_plus_1(monkeypatch, k):
+    # a rewriting that leaves w_{k+2} alone changes no degree <= k+1, so only
+    # the reduction check, reaching past k+1 even at r = 1, can catch it
+    monkeypatch.setattr(thom, "apply_regime",
+                        lambda p, regime: apply_regime(p, TwistedPrim(regime.k + 1, regime.tag)))
+    rep = verify_morin_derivation(1, k)
+    assert [c.name for c in rep.checks if c.status == FAIL] == [
+        "rank-(k+1) reduction: no classes above degree k+1"]
 
 
 def test_verifier_reports_carry_witnesses_on_failure(monkeypatch):
