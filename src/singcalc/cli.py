@@ -13,7 +13,9 @@ their identity lives in.
 
 Cost bounds live beside the work they bound and refuse it with a ValueError,
 a usage error here: thom.GTP_MAX_R in thom.gtp (met by gtp, the verify verbs
-and the suite), germs.STRATIFY_MAX_POINTS in germs.stratify_grid and
+and the suite), thom.MORIN_DERIVATION_MAX_DEGREE in
+thom.verify_morin_derivation, gysin.PUSHFORWARD_MAX_PRODUCTS in
+gysin.verify_pushforward, germs.STRATIFY_MAX_POINTS in germs.stratify_grid and
 bundles.TOTAL_SW_MAX_PRODUCTS in bundles.check_total_sw_cost (run by total-sw).
 """
 

@@ -164,29 +164,31 @@ def mono_str(m: tuple) -> str:
 class Packing:
     """Monomials over a fixed set of generators packed into one int.
 
-    Each generator owns a field of bound.bit_length() bits, in gen_sort_key
-    order from the least significant end, and the total degree sits in the
-    top field, which is unbounded. When every monomial ever formed has total
-    degree at most `bound`, no exponent exceeds it either (generators have
-    degree at least 1), so no field overflows: a product is one integer addition and
-    "degree <= d" is the single compare `x < self.limit(d)`. This is the
-    packed exponent vector of Monagan and Pearce (CASC 2007).
+    Generator g owns a field of (bound // deg g).bit_length() bits (at least
+    one), in gen_sort_key order from the least significant end, and the
+    total degree sits in the top field, which is unbounded. When every
+    monomial ever formed has total degree at most `bound`, no exponent of g
+    exceeds bound // deg g, so no field overflows: a product is one integer
+    addition and "degree <= d" is the single compare `x < self.limit(d)`.
+    A generator of high degree thus costs a few bits, not the bound's width.
+    This is the packed exponent vector of Monagan and Pearce (CASC 2007).
     """
 
     def __init__(self, gens: Iterable[tuple], bound: int):
-        width = max(1, bound.bit_length())
-        order = sorted(set(gens), key=gen_sort_key)
-        self.mask = (1 << width) - 1
-        self.top = width * len(order)
-        self.fields = [(g, width * i) for i, g in enumerate(order)]
-        self.unit = {g: (1 << s) + (gen_degree(g) << self.top) for g, s in self.fields}
+        self.fields = []  # (generator, shift, mask)
+        shift = 0
+        for g in sorted(set(gens), key=gen_sort_key):
+            width = max(1, (bound // gen_degree(g)).bit_length())
+            self.fields.append((g, shift, (1 << width) - 1))
+            shift += width
+        self.top = shift
+        self.unit = {g: (1 << s) + (gen_degree(g) << shift) for g, s, _ in self.fields}
 
     def pack(self, m: tuple) -> int:
         return sum(self.unit[g] * e for g, e in m)
 
     def unpack(self, x: int) -> tuple:
-        mask = self.mask
-        return tuple((g, e) for g, s in self.fields if (e := x >> s & mask))
+        return tuple([(g, e) for g, s, mask in self.fields if (e := x >> s & mask)])
 
     def limit(self, d: int) -> int:
         return max(d + 1, 0) << self.top
@@ -508,24 +510,27 @@ def sq1_preimage(a: GF2Poly) -> Optional[GF2Poly]:
 def inverse_total(a: GF2Poly, max_degree: int) -> GF2Poly:
     """Multiplicative inverse of a total class (constant term 1) up to degree.
 
-    Runs on packed monomials: a is split into homogeneous parts once, and
-    the degree-d part of the inverse is the sum of a_e * inv_{d-e}, whose
-    terms all have degree d <= bound.
+    Runs on packed monomials: a is split into its nonzero homogeneous parts
+    once, and the degree-d part of the inverse is the sum of a_e * inv_{d-e},
+    whose terms all have degree d <= bound.
     """
     if a.homogeneous_part(0) != GF2Poly.one():
         raise ValueError("inverse_total needs constant term 1")
     bound = _bound_min(max_degree, a.max_degree)
     pk = Packing((g for m in a.terms for g, _ in m), bound)
-    a_parts = [[] for _ in range(bound + 1)]
+    by_degree: dict = {}
     for m in a.terms:
         d = mono_degree(m)
         if 0 < d <= bound:
-            a_parts[d].append(pk.pack(m))
+            by_degree.setdefault(d, []).append(pk.pack(m))
+    a_parts = sorted(by_degree.items())
     parts = [{0}] if bound >= 0 else []
     for d in range(1, bound + 1):
         acc: set = set()
-        for e in range(1, d + 1):
-            for x in a_parts[e]:
-                acc ^= {x + y for y in parts[d - e]}
+        for e, xs in a_parts:
+            if e > d:
+                break
+            for x in xs:
+                acc.symmetric_difference_update(map(x.__add__, parts[d - e]))
         parts.append(acc)
     return GF2Poly(frozenset(pk.unpack(x) for part in parts for x in part), bound)

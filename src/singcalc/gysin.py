@@ -89,12 +89,65 @@ def i_push(x: GF2Poly, k: int, max_degree: Optional[int] = None, tag: str = "t")
                  lambda m: (k + m + 1, [((wgen(k + m + 1), 1),)]), max_degree)
 
 
+def _inverse_terms(n: int, d: int) -> int:
+    """The number of terms of degree <= d in the inverse of 1 + w_1 + ... + w_n.
+
+    The inverse is the sum of (w_1 + ... + w_n)^j over j. A monomial with
+    exponents m_1..m_n appears once, with the multinomial coefficient of
+    (m_1 + ... + m_n; m_1, ..., m_n), which is odd exactly when no two m_i
+    share a binary digit (Lucas). So a term gives each power of two b at most
+    one index i_b <= n, and has degree sum(i_b * b): the count is the
+    coefficient sum, up to z^d, of the product over b <= d of
+    1 + z^b + ... + z^(n b) = (1 - z^((n+1) b)) / (1 - z^b).
+    """
+    count = [1] + [0] * d
+    b = 1
+    while b <= d:
+        s = (n + 1) * b
+        for x in range(d, s - 1, -1):
+            count[x] -= count[x - s]
+        for x in range(b, d + 1):
+            count[x] += count[x - b]
+        b *= 2
+    return sum(count)
+
+
+# The estimate tracks the measured time within about 3x on a 2-core machine:
+# a check estimated just under 200 000 products takes 0.2-0.9 s. (n, k, r) =
+# (60, 25, 25), estimated at 1.1 million, took 1.1 s, (80, 35, 35) 7.4 s,
+# and (50 000, 0, 0) took 4 s.
+PUSHFORWARD_MAX_PRODUCTS = 200_000
+
+
+def _check_pushforward_cost(n: int, k: int, r: int) -> None:
+    """Refuse a pushforward check that would form more monomial products
+    than PUSHFORWARD_MAX_PRODUCTS.
+
+    The zero-locus class takes, for each i <= n + k, the power a^i by
+    squaring and one more product: at most 2 * bit_length(n + k) + 1
+    products each. For each term of the inverse total class of TM to degree
+    d = k + r + 1, the check forms at most min(n, d) products in
+    inverse_total, min(n + k, d) + 1 in the normal-class side and one in the
+    fiber integration. The inverse holds at least the d + 1 powers of w_1,
+    so that count refuses a large d before the exact count runs.
+    """
+    d = k + r + 1
+    zero_locus = (n + k + 1) * (2 * (n + k).bit_length() + 1)
+    per_term = min(n, d) + min(n + k, d) + 2
+    if (zero_locus + per_term * (d + 1) > PUSHFORWARD_MAX_PRODUCTS
+            or zero_locus + per_term * _inverse_terms(n, d) > PUSHFORWARD_MAX_PRODUCTS):
+        raise ValueError(f"the product estimate of the pushforward check at (n, k, r) = "
+                         f"({n}, {k}, {r}) is over the cost bound "
+                         f"PUSHFORWARD_MAX_PRODUCTS = {PUSHFORWARD_MAX_PRODUCTS}")
+
+
 def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None) -> Report:
     """Check that integrating a^r times the zero-locus class over the fibers
     of P(TM) equals the degree-(k+r+1) part of total(F) / total(TM). Both
     sides stop at that degree; a higher max_degree is only echoed in the header."""
     if n < 1 or k < 0 or r < 0:
         raise ValueError("need n >= 1, k >= 0, r >= 0")
+    _check_pushforward_cost(n, k, r)
     needed = k + r + 1
     d = verifier_bound(max_degree, needed, needed)
     report = Report("verify lemma-pushforward", {"n": n, "k": k, "r": r, "max_degree": d})

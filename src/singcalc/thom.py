@@ -11,11 +11,13 @@ identity; raising is reserved for out-of-range parameters.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import inf
 from typing import List, Optional
 
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
 from .bundles import LineBundle, Named, Sum
-from .gf2 import (GF2Poly, Packing, _bound_min, linegen, mono_degree, mono_mul, poly_to_json,
+from .gf2 import (GF2Poly, Packing, linegen, mono_degree, mono_mul, poly_to_json,
                   split, verifier_bound, wgen, wpoly)
 from .gysin import i_push
 from .integral import IntegralClass, IntPoly, iclass_to_json, v_class
@@ -48,51 +50,69 @@ def gtp_matrix(r: int, l: int, max_degree: Optional[int] = None) -> List[List[GF
         [[w4, w5, w6],
          [w3, w4, w5],
          [w2, w3, w4]]
+
+    Cells with one index share one entry, so the 2r-1 distinct entries are
+    each built once.
     """
     if r < 1 or l < 0:
         raise ValueError("need r >= 1 and l >= 0")
-    return [[_entry_poly(_entry_index(r, l, i, j), max_degree)
-             for j in range(1, r + 1)]
-            for i in range(1, r + 1)]
+    entries: dict = {}
+
+    def entry(i: int, j: int) -> GF2Poly:
+        idx = _entry_index(r, l, i, j)
+        if idx not in entries:
+            entries[idx] = _entry_poly(idx, max_degree)
+        return entries[idx]
+
+    return [[entry(i, j) for j in range(1, r + 1)] for i in range(1, r + 1)]
 
 
 def _det(mat: List[List[GF2Poly]], max_degree: Optional[int]) -> GF2Poly:
-    # Laplace expansion along the rows, memoized on the surviving column set,
-    # on packed monomials: a minor is a set of ints, and over GF(2) no signs
-    # are involved, so adding a product is a symmetric difference. Every
-    # monomial formed takes one term from each of some rows, so the sum of
-    # the rows' top degrees bounds its degree and sets the field width. A
-    # minor's degree bound is the least bound among max_degree, its nonzero
-    # entries and its subminors, as GF2Poly arithmetic would carry it.
+    # Laplace expansion along the rows in one bottom-up pass, on packed
+    # monomials. The minor of a column set of size c takes the bottom c rows;
+    # level c forms every such minor from level c-1 by expanding along row
+    # r-c, and over GF(2) no signs are involved, so adding a product is a
+    # symmetric difference. Every monomial formed takes one term from each of
+    # some rows, so `top`, the sum of the rows' top degrees, bounds its degree
+    # and sets the field widths; only a minor whose degree bound is below top
+    # is filtered. A minor's degree bound is the least among max_degree, its
+    # nonzero entries and their subminors, empty or not, as GF2Poly arithmetic
+    # would carry it; inf stands for no bound.
     r = len(mat)
-    top = sum(max((mono_degree(m) for e in row for m in e.terms), default=0) for row in mat)
-    pk = Packing((g for row in mat for e in row for m in e.terms for g, _ in m), top)
-    packed = [[[pk.pack(m) for m in e.terms] for e in row] for row in mat]
-    memo = {0: ({0}, max_degree)}
-
-    def minor(cols: int) -> tuple:
-        if cols not in memo:
-            i = r - bin(cols).count("1")
-            subs = [(j, minor(cols & ~(1 << j))) for j in range(r)
-                    if cols >> j & 1 and packed[i][j]]
-            bound = max_degree
-            for j, (_, sub_bound) in subs:
-                bound = _bound_min(bound, _bound_min(mat[i][j].max_degree, sub_bound))
-            limit = pk.limit(top if bound is None else bound)
+    distinct = dict.fromkeys(e for row in mat for e in row)
+    degree = {e: max(map(mono_degree, e.terms), default=0) for e in distinct}
+    top = sum(max(degree[e] for e in row) for row in mat)
+    pk = Packing((g for e in distinct for m in e.terms for g, _ in m), top)
+    codes = {e: [pk.pack(m) for m in e.terms] for e in distinct}
+    packed = [[codes[e] for e in row] for row in mat]
+    bounds = [[inf if e.max_degree is None else e.max_degree for e in row] for row in mat]
+    outer = inf if max_degree is None else max_degree
+    states = {0: ({0}, outer)}
+    for c in range(1, r + 1):
+        row, row_bounds = packed[r - c], bounds[r - c]
+        level = {}
+        for js in combinations(range(r), c):
+            cols = sum(1 << j for j in js)
             acc: set = set()
-            for j, (sub, _) in subs:
-                for x in packed[i][j]:
-                    acc ^= {x + y for y in sub if x + y < limit}
-            memo[cols] = (acc, bound)
-        return memo[cols]
+            bound = outer
+            for j in js:
+                if row[j]:
+                    sub, sub_bound = states[cols ^ 1 << j]
+                    bound = min(bound, sub_bound, row_bounds[j])
+                    for x in row[j]:
+                        acc.symmetric_difference_update(map(x.__add__, sub))
+            if bound < top:
+                limit = pk.limit(bound)
+                acc = {x for x in acc if x < limit}
+            level[cols] = (acc, bound)
+        states = level
+    terms, bound = states[(1 << r) - 1]
+    return GF2Poly(frozenset(map(pk.unpack, terms)), None if bound == inf else bound)
 
-    terms, bound = minor((1 << r) - 1)
-    return GF2Poly(frozenset(pk.unpack(x) for x in terms), bound)
 
-
-# The 2^r-state determinant memo grows about 6-8x per step in r: gtp takes
-# 0.8-1.6 s at r = 10 on a 2-core machine, and several seconds (and hundreds
-# of MB) at r = 11.
+# The determinant visits 2^r column sets, and its cost grows about 6-8x per
+# step in r: on a 2-core machine gtp(9, 2) takes 0.1 s, gtp(10, 2) 0.6 s at a
+# 60 MB peak, and r = 11 4.7 s at 230 MB.
 GTP_MAX_R = 10
 
 
@@ -100,7 +120,7 @@ def gtp(r: int, l: int, max_degree: Optional[int] = None) -> GF2Poly:
     """Class of the corank-r locus of a codimension-l map, degree r(l+r)."""
     if r > GTP_MAX_R:
         raise ValueError(f"corank r = {r} is over the cost bound GTP_MAX_R = {GTP_MAX_R}; "
-                         "the determinant memo has 2^r states")
+                         "the determinant visits 2^r column sets")
     return _det(gtp_matrix(r, l, max_degree), max_degree)
 
 
@@ -273,6 +293,13 @@ def _absorb_kernel_line(p: GF2Poly, k: int, tag: str = "t") -> GF2Poly:
     return GF2Poly(frozenset(out), p.max_degree)
 
 
+# The derivation works to the degree d = max(bound, 4(k+1), r(k+1)): its
+# total class grows with d, and the twisted top class with k <= d/4 - 1 about
+# as k^2.6. On a 2-core machine d = 1000 takes at most 0.25 s (at k = 249);
+# r = k = 150 (d = 22 650) took 0.44 s and r = 2, k = 2499 (d = 10 000) 250 s.
+MORIN_DERIVATION_MAX_DEGREE = 1000
+
+
 def verify_morin_derivation(r: int, k: int,
                             max_degree: Optional[int] = None) -> Report:
     """Recompute the r-fold Morin class by pushing the Euler-class product
@@ -285,6 +312,10 @@ def verify_morin_derivation(r: int, k: int,
     if r < 1 or k < 0:
         raise ValueError("need r >= 1 and k >= 0")
     d = verifier_bound(max_degree, default_degree(k), r * (k + 1))  # the reduction reads to d
+    if d > MORIN_DERIVATION_MAX_DEGREE:
+        raise ValueError(f"the derivation's degree {d} is over the cost bound "
+                         f"MORIN_DERIVATION_MAX_DEGREE = {MORIN_DERIVATION_MAX_DEGREE}; "
+                         "it works to max(bound, 4(k+1), r(k+1))")
     tag = "t"
     report = Report("verify morin-derivation", {"r": r, "k": k, "max_degree": d})
 

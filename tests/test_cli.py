@@ -3,6 +3,7 @@ test runner: output formats, exit codes, env overrides."""
 
 import json
 import re
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -145,6 +146,13 @@ COST_REFUSALS = {
                      bundles.parse_bundle_expr(OVER_SUM, {"nu_f": 8})),
                  "TOTAL_SW_MAX_PRODUCTS", bundles.TOTAL_SW_MAX_PRODUCTS,
                  cli.tpcalc, ["total-sw", OVER_SUM]),
+    "morin-derivation": (lambda: thom.verify_morin_derivation(300, 300),
+                         "MORIN_DERIVATION_MAX_DEGREE", thom.MORIN_DERIVATION_MAX_DEGREE,
+                         cli.tpcalc, ["verify", "morin-derivation", "--r", "300", "--k", "300"]),
+    "lemma-pushforward": (lambda: gysin.verify_pushforward(60, 25, 25),
+                          "PUSHFORWARD_MAX_PRODUCTS", gysin.PUSHFORWARD_MAX_PRODUCTS,
+                          cli.tpcalc, ["verify", "lemma-pushforward",
+                                       "--n", "60", "--k", "25", "--r", "25"]),
 }
 
 
@@ -161,6 +169,34 @@ def test_cost_refusals_share_one_message_shape(runner, case):
     res = runner.invoke(group, argv)
     assert res.exit_code == 2
     assert f"Error: {message}\n" in res.output
+
+
+@pytest.mark.parametrize("verb,module,work,over,fits", [
+    ("morin-derivation", thom, "total_sw", ["--r", "1", "--k", "1", "--max-deg", "1001"],
+     ["--r", "1", "--k", "1", "--max-deg", "1000"]),
+    ("lemma-pushforward", gysin, "tm_total", ["--n", "8", "--k", "30", "--r", "30"],
+     ["--n", "5", "--k", "30", "--r", "30"]),
+])
+def test_verifier_cost_bounds_refuse_before_any_work(runner, monkeypatch, verb, module, work,
+                                                     over, fits):
+    def no_work(*args):
+        raise AssertionError(f"{work} must not run")
+
+    monkeypatch.setattr(module, work, no_work)
+    res = runner.invoke(cli.tpcalc, ["verify", verb] + over)
+    assert res.exit_code == 2 and "is over the cost bound" in res.output
+    # under the bound the verifier gets as far as its work
+    res = runner.invoke(cli.tpcalc, ["verify", verb] + fits)
+    assert isinstance(res.exception, AssertionError)
+
+
+def test_suite_and_benchmark_verifier_inputs_meet_the_cost_bounds():
+    # the benchmark's verify inputs, which contain the suite's rows:
+    # morin-derivation at r <= 6, k <= 8, lemma-pushforward at n <= 8, k, r <= 5
+    for r, k in product(range(1, 7), range(1, 9)):
+        thom.verify_morin_derivation(r, k)
+    for n, k, r in product(range(1, 9), range(6), range(6)):
+        gysin._check_pushforward_cost(n, k, r)
 
 
 def test_total_sw_refuses_a_negative_degree_bound(runner):

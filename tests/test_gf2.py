@@ -86,6 +86,42 @@ def test_packing_products_and_degree_cut(m1, m2, d):
     assert (x1 + x2 < pk.limit(d)) == (top <= d)
 
 
+# generators of several indices and families, and line classes
+_PACK_GENS = st.one_of(st.builds(wgen, st.integers(1, 40), st.sampled_from(["", "E", "TM"])),
+                       st.builds(linegen, st.sampled_from(["t", "u"])))
+
+
+@st.composite
+def _packings(draw):
+    # a bound, its generators, and two monomials in them whose product has
+    # degree <= bound
+    bound = draw(st.integers(0, 200))
+    gens = draw(st.lists(_PACK_GENS, min_size=1, max_size=6, unique=True))
+
+    def within(room):
+        pairs = []
+        for g in draw(st.permutations(gens)):
+            e = draw(st.integers(0, room // gen_degree(g)))
+            pairs.append((g, e))
+            room -= e * gen_degree(g)
+        return mono(pairs)
+
+    m1 = within(bound)
+    return bound, gens, m1, within(bound - mono_degree(m1))
+
+
+@given(_packings())
+def test_packing_holds_every_monomial_within_its_bound(case):
+    # each field is just wide enough for its generator's largest exponent
+    bound, gens, m1, m2 = case
+    pk = Packing(gens, bound)
+    product = mono_mul(m1, m2)
+    largest = [((g, bound // gen_degree(g)),) for g in gens if gen_degree(g) <= bound]
+    for m in [m1, m2, product] + largest:
+        assert pk.unpack(pk.pack(m)) == m
+    assert pk.pack(m1) + pk.pack(m2) == pk.pack(product)
+
+
 # the merge kernel against mono() -------------------------------------------
 
 def _plain_degree(m):

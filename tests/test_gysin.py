@@ -169,6 +169,13 @@ def test_verify_pushforward_shape():
     assert poly_from_json(rep.artifacts["normal_class_side"]) == both
 
 
+def test_inverse_term_count_matches_inverse_total():
+    # the cost bound's count of the dual classes' terms is exact
+    for n in range(1, 13):
+        for d in range(0, 21):
+            assert gysin._inverse_terms(n, d) == len(inverse_total(tm_total(n, d), d).terms)
+
+
 def test_verify_pushforward_validation():
     with pytest.raises(ValueError):
         verify_pushforward(0, 1, 1)

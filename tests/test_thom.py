@@ -59,8 +59,9 @@ def test_gtp_matches_permanent(r, l):
 
 
 @pytest.mark.parametrize("r", range(1, 9))
-@pytest.mark.parametrize("l", [0, 1, 3])
+@pytest.mark.parametrize("l", [0, 1, 3, 99_999])
 def test_gtp_matches_plain_laplace(r, l):
+    # at l = 99 999 no exponent exceeds r, so each packed field is a few bits
     deg = r * (l + r)
     for d in (None, deg, deg - 1, 10):
         got = gtp(r, l, d)
@@ -105,6 +106,19 @@ def test_gtp_reads_wpoly_at_call_time(monkeypatch):
     after = gtp(2, 2)
     assert after != before
     assert after == wpoly(5) ** 2 + wpoly(4) * wpoly(6)
+
+
+@pytest.mark.parametrize("r,l", [(1, 0), (3, 1), (5, 4), (8, 99_999)])
+def test_gtp_calls_wpoly_once_per_distinct_entry(monkeypatch, r, l):
+    # each of the 2r-1 distinct entries comes from one wpoly call, made at
+    # call time
+    want = gtp(r, l)
+    calls = []
+    monkeypatch.setattr(thom, "wpoly",
+                        lambda i, bundle="", max_degree=None:
+                        calls.append(i) or wpoly(i, bundle, max_degree))
+    assert gtp(r, l) == want
+    assert sorted(calls) == list(range(l + 1, l + 2 * r))
 
 
 @pytest.mark.parametrize("r,l", [(1, 2), (2, 1), (3, 0), (3, 3)])
@@ -175,8 +189,11 @@ def test_integral_constructors():
 def test_convention_report_passes_and_pins_layout(monkeypatch):
     assert verify_gtp_convention().status == PASS
     # transposing the index rule leaves every determinant fixed, so the
-    # layout check is what must catch it
+    # layout check is what must catch it; the entries shared between cells
+    # are keyed by index, so the transpose still reaches the matrix
+    documented = gtp_matrix(3, 1)
     monkeypatch.setattr(thom, "_entry_index", lambda r, l, i, j: l + r - j + i)
+    assert gtp_matrix(3, 1) == [list(col) for col in zip(*documented)] != documented
     assert gtp(2, 2) == wpoly(4) ** 2 + wpoly(3) * wpoly(5)
     assert verify_gtp_convention().status == FAIL
 
