@@ -9,8 +9,10 @@ differences; on a leaf of genuine rank m it uses
 
     w_j(l (x) xi) = sum_{i<=min(j,m)} C(m-i, j-i) t^{j-i} w_i(xi)  mod 2.
 
-Input components above the declared rank are ignored by that rule (a
-genuine rank-m bundle has none).
+By Lucas's theorem C(m-i, s) is odd exactly when s & (m-i) == s, so
+tensor_line sends each input term of degree i <= m to its products with t^s
+over those s, in one pass over the terms. Input components above the
+declared rank are ignored by that rule (a genuine rank-m bundle has none).
 
 A regime is a terminating rewriting system on the anonymous w-generators
 encoding relations that hold on a singularity locus:
@@ -102,21 +104,18 @@ def tensor_line(tag: str, rank: int, total: GF2Poly, max_degree: Optional[int]) 
         raise ValueError("tensor_line needs rank >= 0")
     if total.homogeneous_part(0) != GF2Poly.one():
         raise ValueError("total class must have constant term 1")
-    # C(rank - i, j - i) = 0 for j > rank: no output degree exceeds the rank
-    top = rank if max_degree is None else min(rank, max_degree)
-    t = GF2Poly.gen(linegen(tag))
-    tpow = [GF2Poly.one(max_degree)]
-    for _ in range(top):
-        tpow.append(tpow[-1] * t)
-    parts = [total.homogeneous_part(i) for i in range(top + 1)]
-    # one accumulator for all the terms, so the work is linear in the output
+    bound = _bound_min(max_degree, total.max_degree)
+    # C(rank - i, s) = 0 for i + s > rank: no output degree exceeds the rank
+    top = rank if bound is None else min(rank, bound)
+    t = linegen(tag)
     acc: set = set()
-    for j in range(0, top + 1):
-        for i in range(0, j + 1):
-            if comb(rank - i, j - i) % 2 == 0 or parts[i].is_zero():
-                continue
-            acc ^= (tpow[j - i] * parts[i]).terms
-    return GF2Poly(frozenset(acc), _bound_min(max_degree, total.max_degree))
+    for m in total.terms:
+        i = mono_degree(m)
+        free = rank - i
+        for s in range(top - i + 1):
+            if s & free == s:  # C(free, s) is odd
+                acc ^= {mono_mul(m, ((t, s),)) if s else m}
+    return GF2Poly(frozenset(acc), bound)
 
 
 def total_sw(expr: BundleExpr, max_degree: Optional[int] = None) -> tuple:
@@ -153,7 +152,7 @@ def _total_sw(expr: BundleExpr, max_degree: Optional[int]) -> tuple:
             raise ValueError("difference would have negative rank")
         if max_degree is None:
             raise ValueError("difference needs a truncation degree")
-        return r1 - r2, (t1 * inverse_total(t2, max_degree)).truncate(max_degree)
+        return r1 - r2, t1 * inverse_total(t2, max_degree)
     if isinstance(expr, TensorLine):
         inner = expr.inner
         if isinstance(inner, Sum):

@@ -10,6 +10,9 @@ by gen_sort_key, each generator at most once, every exponent >= 1, so equal
 monomials are equal tuples. Only this module knows that layout: monomials
 are edited by split (and split_above) and mono_mul, which keep them canonical
 without re-sorting, and mono() sorts only outside input (poly_from_json).
+It is also the one place that groups terms by degree: GF2Poly.graded() gives
+a class's homogeneous parts, in increasing degree and each keeping the class's
+max_degree, from one pass over the terms.
 
 The module also implements the first Steenrod square sq1 as a derivation
 acting on generators through the Wu formula, its exact preimage solver,
@@ -319,6 +322,13 @@ class GF2Poly:
     def homogeneous_part(self, d: int) -> "GF2Poly":
         return GF2Poly(frozenset(m for m in self.terms if mono_degree(m) == d), self.max_degree)
 
+    def graded(self) -> dict:
+        """{degree: nonempty homogeneous part keeping max_degree}, in increasing degree."""
+        parts: dict = {}
+        for m in self.terms:
+            parts.setdefault(mono_degree(m), []).append(m)
+        return {d: GF2Poly(frozenset(parts[d]), self.max_degree) for d in sorted(parts)}
+
     def truncate(self, d: int) -> "GF2Poly":
         # drops terms above degree d; deliberately keeps the ambient bound so
         # later products are not silently computed in a smaller quotient
@@ -510,20 +520,17 @@ def sq1_preimage(a: GF2Poly) -> Optional[GF2Poly]:
 def inverse_total(a: GF2Poly, max_degree: int) -> GF2Poly:
     """Multiplicative inverse of a total class (constant term 1) up to degree.
 
-    Runs on packed monomials: a is split into its nonzero homogeneous parts
-    once, and the degree-d part of the inverse is the sum of a_e * inv_{d-e},
-    whose terms all have degree d <= bound.
+    Runs on packed monomials: a is split into its homogeneous parts once,
+    and the degree-d part of the inverse is the sum of a_e * inv_{d-e} over
+    e > 0, whose terms all have degree d <= bound.
     """
-    if a.homogeneous_part(0) != GF2Poly.one():
+    graded = a.graded()
+    if graded.get(0) != GF2Poly.one():
         raise ValueError("inverse_total needs constant term 1")
     bound = _bound_min(max_degree, a.max_degree)
     pk = Packing((g for m in a.terms for g, _ in m), bound)
-    by_degree: dict = {}
-    for m in a.terms:
-        d = mono_degree(m)
-        if 0 < d <= bound:
-            by_degree.setdefault(d, []).append(pk.pack(m))
-    a_parts = sorted(by_degree.items())
+    a_parts = [(e, [pk.pack(m) for m in part.terms])
+               for e, part in graded.items() if 0 < e <= bound]
     parts = [{0}] if bound >= 0 else []
     for d in range(1, bound + 1):
         acc: set = set()

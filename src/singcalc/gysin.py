@@ -42,9 +42,11 @@ def zero_locus_class(n: int, k: int, max_degree: Optional[int] = None) -> GF2Pol
     """Top Stiefel-Whitney class of (tautological line) (x) F on P(TM)."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
+    a, power = taut_class(max_degree), GF2Poly.one(max_degree)  # power = a^i
     acc: set = set()
     for i in range(0, n + k + 1):
-        acc ^= (taut_class(max_degree) ** i * wpoly(n + k - i, F, max_degree)).terms
+        acc ^= (power * wpoly(n + k - i, F, max_degree)).terms
+        power = power * a
     return GF2Poly(frozenset(acc), max_degree)
 
 
@@ -72,9 +74,7 @@ def q_push(x: GF2Poly, n: int, max_degree: int,
     """
     if tm_inverse is None:
         tm_inverse = inverse_total(tm_total(n, max_degree), max_degree)
-    parts: dict = {}  # the homogeneous parts of the inverse total class
-    for w in tm_inverse.terms:
-        parts.setdefault(mono_degree(w), []).append(w)
+    parts = {d: part.terms for d, part in tm_inverse.graded().items()}
     return _push(x, linegen(TAUT_TAG),
                  lambda m: (m - n + 1, parts.get(m - n + 1, ())), max_degree)
 
@@ -113,9 +113,9 @@ def _inverse_terms(n: int, d: int) -> int:
 
 
 # The estimate tracks the measured time within about 3x on a 2-core machine:
-# a check estimated just under 200 000 products takes 0.2-0.9 s. (n, k, r) =
+# a check estimated just under 200 000 products takes 0.2-1.0 s. (n, k, r) =
 # (60, 25, 25), estimated at 1.1 million, took 1.1 s, (80, 35, 35) 7.4 s,
-# and (50 000, 0, 0) took 4 s.
+# and (50 000, 0, 0), estimated at 150 011, 0.7 s.
 PUSHFORWARD_MAX_PRODUCTS = 200_000
 
 
@@ -123,16 +123,17 @@ def _check_pushforward_cost(n: int, k: int, r: int) -> None:
     """Refuse a pushforward check that would form more monomial products
     than PUSHFORWARD_MAX_PRODUCTS.
 
-    The zero-locus class takes, for each i <= n + k, the power a^i by
-    squaring and one more product: at most 2 * bit_length(n + k) + 1
-    products each. For each term of the inverse total class of TM to degree
-    d = k + r + 1, the check forms at most min(n, d) products in
-    inverse_total, min(n + k, d) + 1 in the normal-class side and one in the
-    fiber integration. The inverse holds at least the d + 1 powers of w_1,
-    so that count refuses a large d before the exact count runs.
+    The zero-locus class keeps a running power of a: two one-term products
+    for each i <= n + k. a^r takes at most 2 * bit_length(r) one-term
+    products and squarings, and n + k + 1 more to multiply the class. For
+    each term of the inverse total class of TM to degree d = k + r + 1, the
+    check forms at most min(n, d) products in inverse_total, min(n + k, d) + 1
+    in the normal-class side and one in the fiber integration. The inverse
+    holds at least the d + 1 powers of w_1, so that count refuses a large d
+    before the exact count runs.
     """
     d = k + r + 1
-    zero_locus = (n + k + 1) * (2 * (n + k).bit_length() + 1)
+    zero_locus = 3 * (n + k + 1) + 2 * r.bit_length()
     per_term = min(n, d) + min(n + k, d) + 2
     if (zero_locus + per_term * (d + 1) > PUSHFORWARD_MAX_PRODUCTS
             or zero_locus + per_term * _inverse_terms(n, d) > PUSHFORWARD_MAX_PRODUCTS):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import GF2Poly, mono_degree, poly_from_json, poly_to_json, sq1_preimage, wgen
+from .gf2 import GF2Poly, poly_from_json, poly_to_json, sq1_preimage, wgen
 
 # ---------------------------------------------------------------------------
 # free part: integer polynomials in p_1, p_2, ...
@@ -37,6 +37,20 @@ def _pmono_mul(m1: tuple, m2: tuple) -> tuple:
 
 def _pmono_key(m: tuple) -> tuple:
     return (_pmono_degree(m), m)
+
+
+def _power(x, e: int, one):
+    """x^e by square-and-multiply, starting from the unit `one`."""
+    if e < 0:
+        raise ValueError("negative power")
+    result = one
+    while e:
+        if e & 1:
+            result = result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
 
 
 @dataclass(frozen=True)
@@ -88,16 +102,7 @@ class IntPoly:
         return IntPoly.from_dict({m: c * k for m, k in self.terms})
 
     def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise ValueError("negative power")
-        result, base = IntPoly.one(), self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, IntPoly.one())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -170,16 +175,7 @@ class IntegralClass:
         return IntegralClass(self.free * other.free, torsion)
 
     def __pow__(self, e: int) -> "IntegralClass":
-        if e < 0:
-            raise ValueError("negative power")
-        result, base = IntegralClass.from_free(IntPoly.one()), self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, e, IntegralClass.from_free(IntPoly.one()))
 
     def scale(self, c: int) -> "IntegralClass":
         # torsion is 2-torsion: an even multiple kills it
@@ -230,5 +226,4 @@ def v_class(indices: Iterable[int]) -> IntegralClass:
 def torsion_in_sq1_image(c: IntegralClass) -> bool:
     """Exact membership check for the torsion part (anonymous w-generators)."""
     # check degree by degree so mixed-degree torsion is still decidable
-    return all(sq1_preimage(c.torsion.homogeneous_part(d)) is not None
-               for d in sorted({mono_degree(m) for m in c.torsion.terms}))
+    return all(sq1_preimage(part) is not None for part in c.torsion.graded().values())

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .gf2 import GF2Poly, mono_degree, poly_to_json
+from .gf2 import GF2Poly, poly_to_json
 
 PASS = "pass"
 FAIL = "fail"
@@ -54,10 +54,8 @@ class Report:
             self.add(name, PASS, detail)
             return True
         if isinstance(lhs, GF2Poly) and isinstance(rhs, GF2Poly):
-            diff = lhs + rhs
-            degrees = sorted({mono_degree(m) for m in diff.terms})
-            witnesses = [{"degree": d, "difference": poly_to_json(diff.homogeneous_part(d))}
-                         for d in degrees]
+            witnesses = [{"degree": d, "difference": poly_to_json(part)}
+                         for d, part in (lhs + rhs).graded().items()]
         else:
             witnesses = [{"lhs": str(lhs), "rhs": str(rhs)}]
         self.add(name, FAIL, detail, witnesses)

@@ -295,8 +295,8 @@ def _absorb_kernel_line(p: GF2Poly, k: int, tag: str = "t") -> GF2Poly:
 
 # The derivation works to the degree d = max(bound, 4(k+1), r(k+1)): its
 # total class grows with d, and the twisted top class with k <= d/4 - 1 about
-# as k^2.6. On a 2-core machine d = 1000 takes at most 0.25 s (at k = 249);
-# r = k = 150 (d = 22 650) took 0.44 s and r = 2, k = 2499 (d = 10 000) 250 s.
+# as k^2. On a 2-core machine d = 1000 takes at most 0.06 s (at k = 249);
+# r = k = 150 (d = 22 650) took 0.34 s and r = 2, k = 2499 (d = 10 000) 2.2 s.
 MORIN_DERIVATION_MAX_DEGREE = 1000
 
 

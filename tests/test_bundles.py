@@ -1,9 +1,9 @@
 """Whitney formula, line twisting, rewriting regimes, expression parser."""
 
-from math import inf
+from math import comb, inf
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singcalc.bundles as bundles
@@ -12,7 +12,7 @@ from singcalc.bundles import (MAX_DEPTH, Diff, LineBundle, MorinNu1, Named, Prim
                               Sum, TensorLine, Trivial, TwistedPrim, _monomials_up_to,
                               apply_regime, parse_bundle_expr, tensor_line, total_sw,
                               total_sw_cost)
-from singcalc.gf2 import GF2Poly, linegen, linepoly, wpoly
+from singcalc.gf2 import GF2Poly, _bound_min, linegen, linepoly, mono, wgen, wpoly
 
 D = 10
 
@@ -79,18 +79,53 @@ def test_tensor_line_rank_one():
 
 
 def test_tensor_line_work_stops_at_the_rank(monkeypatch):
-    # C(rank - i, j - i) = 0 above the rank, so a higher bound adds no products
+    # C(rank - i, j - i) = 0 above the rank, so a higher bound adds no
+    # monomial products (tensor_line forms them with mono_mul, not __mul__)
     calls = []
-    mul = GF2Poly.__mul__
-    monkeypatch.setattr(GF2Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    mul = bundles.mono_mul
+    monkeypatch.setattr(bundles, "mono_mul", lambda a, b: calls.append(1) or mul(a, b))
     counts, outputs = [], []
     for d in (2, 3, 10, 40):
         total = _named("E", 2)[1]
         calls.clear()
         outputs.append(tensor_line("t", 2, total, d))
         counts.append(len(calls))
-    assert counts == [counts[0]] * 4
+    assert counts == [counts[0]] * 4 and counts[0] > 0
     assert outputs == [outputs[0]] * 4
+
+
+def _plain_tensor_line(tag, rank, total, max_degree):
+    # the binomial rule as written: C(rank - i, j - i) t^(j - i) times the
+    # degree-i part of the total, for every i <= j <= min(rank, max_degree)
+    top = rank if max_degree is None else min(rank, max_degree)
+    t = GF2Poly.gen(linegen(tag))
+    tpow = [GF2Poly.one(max_degree)]
+    for _ in range(top):
+        tpow.append(tpow[-1] * t)
+    parts = [total.homogeneous_part(i) for i in range(top + 1)]
+    acc: set = set()
+    for j in range(top + 1):
+        for i in range(j + 1):
+            if comb(rank - i, j - i) % 2:
+                acc ^= (tpow[j - i] * parts[i]).terms
+    return GF2Poly(frozenset(acc), _bound_min(max_degree, total.max_degree))
+
+
+TWIST_GENS = [wgen(i) for i in range(1, 7)] + [wgen(1, "E"), wgen(3, "E"),
+                                               linegen("t"), linegen("u")]
+BOUNDS = st.one_of(st.none(), st.integers(0, 14))
+
+
+@given(st.integers(0, 12), BOUNDS, BOUNDS,
+       st.lists(st.lists(st.tuples(st.sampled_from(TWIST_GENS), st.integers(1, 4)),
+                         min_size=1, max_size=3).map(mono), max_size=8))
+@settings(max_examples=300)
+def test_tensor_line_matches_the_binomial_rule(rank, max_degree, total_bound, terms):
+    # terms may lie above the rank or carry the tag t being tensored
+    total = GF2Poly.from_terms([()] + terms, total_bound)
+    got = tensor_line("t", rank, total, max_degree)
+    want = _plain_tensor_line("t", rank, total, max_degree)
+    assert (got.terms, got.max_degree) == (want.terms, want.max_degree)
 
 
 def test_tensor_line_validation():

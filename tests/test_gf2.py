@@ -47,6 +47,17 @@ def test_truncate_drops_terms_only(a, d):
     assert t + a.homogeneous_part(d + 1) == a.truncate(d + 1)
 
 
+@given(st.lists(monomials, max_size=8), st.sampled_from([None, 0, 2, 4, 8]))
+def test_graded_is_the_nonempty_homogeneous_parts(terms, bound):
+    a = GF2Poly.from_terms(terms, bound)
+    parts = a.graded()
+    degrees = sorted({mono_degree(m) for m in a.terms})
+    assert list(parts) == degrees
+    for d, part in parts.items():
+        assert part.terms == a.homogeneous_part(d).terms and part.terms
+        assert part.max_degree == bound
+
+
 def test_bounded_product_is_quotient_image():
     a = wpoly(2) + wpoly(3)
     bounded = GF2Poly.from_terms(a.terms, 4)

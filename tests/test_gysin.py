@@ -201,3 +201,47 @@ def test_verify_pushforward_computes_only_the_compared_degree(monkeypatch):
 @pytest.mark.parametrize("n,k,r", [(1, 0, 0), (2, 2, 1), (4, 3, 2), (3, 1, 4)])
 def test_verify_pushforward_samples(n, k, r):
     assert verify_pushforward(n, k, r).status == PASS
+
+
+def _pushforward_pairs(monkeypatch, n, k, r):
+    # the monomial pairs verify_pushforward forms: |a| * |b| per product,
+    # (|a| - 1) * |inverse| per inversion (its constant 1 is paired with
+    # nothing) and one per image monomial of the fiber integration
+    seen = [0]
+    mul, inverse, push = GF2Poly.__mul__, gysin.inverse_total, gysin._push
+
+    def counting_mul(a, b):
+        seen[0] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    def counting_inverse(a, d):
+        inv = inverse(a, d)
+        seen[0] += (len(a.terms) - 1) * len(inv.terms)
+        return inv
+
+    def counting_push(x, g, image, max_degree):
+        def counted(m):
+            degree, monos = image(m)
+            seen[0] += len(monos)
+            return degree, monos
+        return push(x, g, counted, max_degree)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(GF2Poly, "__mul__", counting_mul)
+        mp.setattr(gysin, "inverse_total", counting_inverse)
+        mp.setattr(gysin, "_push", counting_push)
+        assert verify_pushforward(n, k, r).status == PASS
+    return seen[0]
+
+
+def test_pushforward_estimate_bounds_the_pairs(monkeypatch):
+    # an estimate below the pairs formed would let the check pass under a
+    # cost bound one below that count
+    from singcalc.suite import VERIFIERS
+    rows = next(v.cases for v in VERIFIERS if v.name == "lemma-pushforward")
+    for n, k, r in rows + ((7000, 0, 0), (8000, 0, 0), (20000, 0, 0)):
+        pairs = _pushforward_pairs(monkeypatch, n, k, r)
+        monkeypatch.setattr(gysin, "PUSHFORWARD_MAX_PRODUCTS", pairs - 1)
+        with pytest.raises(ValueError):
+            gysin._check_pushforward_cost(n, k, r)
+        monkeypatch.undo()

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module, only
 the CLI's degree-bound resolver reads the environment, the CLI defines no
-cost bound of its own, only gf2 knows how a monomial is laid out, the GF(2)
-kernel modules keep no cache, and no float reaches the exact rank
-decisions."""
+cost bound of its own, only gf2 knows how a monomial is laid out, no
+homogeneous_part call sits in a loop or comprehension (GF2Poly.graded()
+splits a class by degree in one pass), the GF(2) kernel modules keep no
+cache, and no float reaches the exact rank decisions."""
 
 import ast
 import re
@@ -139,6 +140,34 @@ def test_layout_checks_see_planted_cases():
     tree = ast.parse(source)
     assert _mono_calls(tree) == [None, "f", "poly_from_json"]
     assert _tag_compares(tree) == [4, 6, 6]
+
+
+# Only gf2 groups terms by degree: GF2Poly.graded() splits a class into its
+# homogeneous parts in one pass, so homogeneous_part, a scan of every term,
+# picks a single degree and is never called once per degree.
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _rescans(tree: ast.Module) -> list:
+    """Lines of the homogeneous_part(...) calls inside a loop or a comprehension."""
+    return sorted({node.lineno for loop in ast.walk(tree) if isinstance(loop, LOOPS)
+                   for node in ast.walk(loop) if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", getattr(node.func, "id", ""))
+                   == "homogeneous_part"})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_per_degree_rescans(path):
+    assert _rescans(ast.parse(path.read_text())) == []
+
+
+def test_rescan_check_sees_planted_cases():
+    source = ("e = p.homogeneous_part(0)\nfor d in ds:\n    q = p.homogeneous_part(d)\n"
+              "xs = [p.homogeneous_part(d) for d in ds]\nwhile x:\n"
+              "    x = f(homogeneous_part(x))\nok = all(f(q) for q in p.graded().values())\n"
+              "for d in ds:\n    if d:\n        ys = {p.homogeneous_part(d): 1}\n")
+    assert _rescans(ast.parse(source)) == [3, 4, 6, 10]
 
 
 # A cache in the kernel could hide an injected fault behind an earlier
