@@ -1,13 +1,14 @@
 """Determinantal and Morin classes, their verifiers, integral versions."""
 
-from itertools import permutations
+from itertools import combinations, permutations
+from math import inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcalc.bundles import LineBundle, Named, Sum, TwistedPrim, apply_regime
-from singcalc.gf2 import GF2Poly, linegen, mono, wgen, wpoly
+from singcalc.gf2 import GF2Poly, Packing, linegen, mono, mono_degree, wgen, wpoly
 from singcalc.integral import IntPoly, v_class
 from singcalc.reports import FAIL, PASS, SKIPPED
 from singcalc.thom import (default_degree, gtp, gtp_matrix, morin_tp,
@@ -49,13 +50,59 @@ def _laplace(mat, d):
     return minor((1 << r) - 1)
 
 
+def _column_set_det(mat, max_degree):
+    # the packed Laplace expansion along the rows, one bottom-up pass over
+    # the column sets: level c forms the minor of every column set of size c
+    # (on the bottom c rows) from level c-1; no symmetry is used
+    r = len(mat)
+    distinct = dict.fromkeys(e for row in mat for e in row)
+    degree = {e: max(map(mono_degree, e.terms), default=0) for e in distinct}
+    top = sum(max(degree[e] for e in row) for row in mat)
+    pk = Packing((g for e in distinct for m in e.terms for g, _ in m), top)
+    codes = {e: [pk.pack(m) for m in e.terms] for e in distinct}
+    packed = [[codes[e] for e in row] for row in mat]
+    bounds = [[inf if e.max_degree is None else e.max_degree for e in row] for row in mat]
+    outer = inf if max_degree is None else max_degree
+    states = {0: ({0}, outer)}
+    for c in range(1, r + 1):
+        row, row_bounds = packed[r - c], bounds[r - c]
+        level = {}
+        for js in combinations(range(r), c):
+            cols = sum(1 << j for j in js)
+            acc: set = set()
+            bound = outer
+            for j in js:
+                if row[j]:
+                    sub, sub_bound = states[cols ^ 1 << j]
+                    bound = min(bound, sub_bound, row_bounds[j])
+                    for x in row[j]:
+                        acc.symmetric_difference_update(map(x.__add__, sub))
+            if bound < top:
+                limit = pk.limit(bound)
+                acc = {x for x in acc if x < limit}
+            level[cols] = (acc, bound)
+        states = level
+    terms, bound = states[(1 << r) - 1]
+    return GF2Poly(frozenset(map(pk.unpack, terms)), None if bound == inf else bound)
+
+
 def test_codim():
     assert default_degree(3) == 16
 
 
-@pytest.mark.parametrize("r,l", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 1), (3, 2), (4, 2)])
+@pytest.mark.parametrize("r,l", [(1, 0), (1, 4), (2, 0), (2, 3), (3, 1), (3, 2), (4, 2),
+                                 (5, 0), (5, 3), (6, 1)])
 def test_gtp_matches_permanent(r, l):
     assert gtp(r, l) == _permanent(r, l)
+
+
+@pytest.mark.parametrize("r,l", [(9, 0), (9, 99_999), (10, 0)])
+def test_gtp_matches_the_column_set_expansion(r, l):
+    # the largest coranks below the cost bound, against the expansion that
+    # uses no symmetry
+    got = gtp(r, l)
+    want = _column_set_det(gtp_matrix(r, l), None)
+    assert (got.terms, got.max_degree) == (want.terms, want.max_degree)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -79,22 +126,39 @@ _bounds = st.one_of(st.none(), st.integers(-1, 12))
 
 
 @st.composite
-def _matrices(draw):
-    r = draw(st.integers(1, 4))
+def _persymmetric_matrices(draw):
+    # a symmetric h with every entry carrying the drawn bound; _det takes
+    # h with its rows reversed, as gtp_matrix lays it out
+    r = draw(st.integers(1, 5))
     d = draw(_bounds)
-    entry = st.builds(GF2Poly.from_terms, st.lists(_monos, max_size=3),
-                      st.one_of(st.none(), st.just(d), _bounds))
-    mat = [[draw(entry) for _ in range(r)] for _ in range(r)]
-    return mat, d
+    entry = st.builds(GF2Poly.from_terms, st.lists(_monos, max_size=3), st.just(d))
+    h = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            h[i][j] = h[j][i] = draw(entry)
+    return h[::-1], d
 
 
-@given(_matrices())
+@given(_persymmetric_matrices())
 @settings(max_examples=200, deadline=None)
 def test_det_matches_plain_laplace(case):
     mat, d = case
     got = thom._det(mat, d)
     want = _laplace(mat, d)
     assert got == want and got.max_degree == want.max_degree
+
+
+def test_det_refuses_a_matrix_outside_its_contract():
+    w = wpoly
+    assert thom._det(gtp_matrix(2, 1, 6), 6) == w(3) ** 2 + w(2) * w(4)
+    # reversed rows [[w2, w1], [w3, w4]] are not symmetric
+    with pytest.raises(ValueError, match="persymmetric"):
+        thom._det([[w(3), w(4)], [w(2), w(1)]], None)
+    # one entry's bound differs from the determinant's
+    with pytest.raises(ValueError, match="max_degree"):
+        thom._det([[w(3, "", 5), w(4, "", 5)], [w(2, "", 6), w(3, "", 5)]], 5)
+    with pytest.raises(ValueError, match="max_degree"):
+        thom._det(gtp_matrix(2, 1), 5)
 
 
 def test_gtp_reads_wpoly_at_call_time(monkeypatch):
