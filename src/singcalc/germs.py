@@ -13,7 +13,9 @@ naively simplified one in the X_{2i} and X_{2k+1} slots (denominators
 1+z^2+z^4 vs 1+z^2, and a z^2 vs z^3 numerator); the oracle equality tests
 pin the version that actually is orthogonal to im df.
 
-Everything is Fraction arithmetic; rank decisions never see floats.
+Everything is exact. The germ, its Jacobians and the rank work are Fraction
+arithmetic; sigma_oracle works on integers cleared of denominators and
+divides once, at the end. Rank decisions never see a float.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .jets import hessian_ad
@@ -163,28 +166,23 @@ def on_cusp_locus(n: int, k: int, p: GermPoint) -> bool:
     return all(c == 0 for c in p.x) and p.y == 0 and p.z == 0
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def sigma_oracle(n: int, k: int, p: GermPoint) -> Vec:
     """Recompute sigma from first principles at a singular point of f.
 
     Builds the listed basis of im df (u_i, u_{k+1}, v_i), orthogonalizes the
     v_i against the u_i, and projects d^2 f/dz^2 off the span. Independent
     of sigma_closed by construction.
+
+    Sparse and fraction-free: a vector is {index: int}, each basis vector
+    cleared of denominators (its span is unchanged), and a projection
+    scales instead of dividing, sigma <- (u.u) sigma - (u.sigma) u, so sigma
+    is the projection times scale, the product of those u.u. The n+k
+    Fractions are built once, at the end.
     """
     _check_point(n, k, p)
     if not on_sigma(n, k, p):
         raise ValueError("sigma_oracle needs a point on the singular locus of f")
-    dim = n + k
-    z = p.z
-
-    def vec(entries: dict) -> List[Fraction]:
-        v = [Fraction(0)] * dim
-        for idx, val in entries.items():
-            v[idx] = Fraction(val)
-        return v
+    zn, zd = p.z.numerator, p.z.denominator
 
     def X(j: int) -> int:
         return j - 1
@@ -194,21 +192,33 @@ def sigma_oracle(n: int, k: int, p: GermPoint) -> Vec:
 
     Z = 2 * k + 1 + k
 
-    us = [vec({X(2 * i - 1): 1, Y(i): z}) for i in range(1, k + 1)]
-    us.append(vec({X(2 * k + 1): 1, Z: z}))
-    vs = [vec({X(2 * i): 1, Y(i): z * z}) for i in range(1, k + 1)]
-    d2 = vec({Y(i): 2 * p.x[2 * i - 1] for i in range(1, k + 1)})
-    d2[Z] = 6 * z
+    def dot(u: dict, v: dict) -> int:
+        return sum(c * v[i] for i, c in u.items() if i in v)
 
-    vts = []
-    for u, v in zip(us, vs):
-        c = _dot(u, v) / _dot(u, u)
-        vts.append([b - c * a for a, b in zip(u, v)])
-    sigma = d2
+    def minus(a: int, v: dict, c: int, u: dict) -> dict:
+        """a*v - c*u"""
+        out = {i: a * b for i, b in v.items()}
+        for i, b in u.items():
+            out[i] = out.get(i, 0) - c * b
+        return out
+
+    us = [{X(2 * i - 1): zd, Y(i): zn} for i in range(1, k + 1)]
+    us.append({X(2 * k + 1): zd, Z: zn})
+    vs = [{X(2 * i): zd * zd, Y(i): zn * zn} for i in range(1, k + 1)]
+    xe = p.x[1::2]
+    scale = lcm(zd, *(x.denominator for x in xe))
+    sigma = {Y(i): 2 * x.numerator * (scale // x.denominator)
+             for i, x in enumerate(xe, 1)}
+    sigma[Z] = 6 * zn * (scale // zd)
+
+    vts = [minus(dot(u, u), v, dot(u, v), u) for u, v in zip(us, vs)]
     for u in us + vts:
-        c = _dot(u, sigma) / _dot(u, u)
-        sigma = [b - c * a for a, b in zip(u, sigma)]
-    return tuple(sigma)
+        c = dot(u, sigma)
+        if c:
+            uu = dot(u, u)
+            sigma = minus(uu, sigma, c, u)
+            scale *= uu
+    return tuple(Fraction(sigma.get(i, 0), scale) for i in range(n + k))
 
 
 def tilde_f(n: int, k: int, p: GermPoint) -> Vec:
@@ -335,7 +345,9 @@ def corank(matrix: Sequence[Sequence]) -> JetReport:
 # stratification ------------------------------------------------------------
 
 # Rank-only stratification costs 0.4-1.3 ms per grid point at (n,k) = (4,1)
-# to (10,4) on a 2-core machine, so a scan at the bound takes 8-26 s.
+# to (10,4) on a 2-core machine, so a scan at the bound takes 8-26 s. Past
+# n = 20 a point costs about (n/20)^3 of those (9 ms at n = 40, 60 ms at 80,
+# 2.5 s at 300, 18 s at 600), so it counts that many times.
 STRATIFY_MAX_POINTS = 20_000
 
 
@@ -349,14 +361,16 @@ def stratify_grid(n: int, k: int, grid: Sequence,
     vals = [Fraction(g) for g in grid]
     if not vals:
         raise ValueError("empty grid")
-    points = passes = 1 + len(t_values or ())
-    # the power stops growing once it is over the bound, so a huge n is cheap
-    for _ in range(n if len(vals) > 1 else 0):
-        points *= len(vals)
-        if points > STRATIFY_MAX_POINTS:
-            raise ValueError(
-                f"the scan of |grid|^n x (1 + |t-grid|) = {len(vals)}^{n} x {passes} points "
-                f"is over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
+    passes = 1 + len(t_values or ())
+    weight = max(1, n ** 3 // 8000)
+    # past bit_length(bound) factors of at least 2 the power is over the
+    # bound anyway, so a huge n is cheap
+    cost = passes * weight * len(vals) ** min(n, STRATIFY_MAX_POINTS.bit_length())
+    if cost > STRATIFY_MAX_POINTS:
+        raise ValueError(
+            f"the scan of |grid|^n x (1 + |t-grid|) = {len(vals)}^{n} x {passes} points "
+            f"at a weight of max(1, n^3 // 8000) = {weight} each "
+            f"is over the cost bound STRATIFY_MAX_POINTS = {STRATIFY_MAX_POINTS}")
     report = Report("stratify", {"n": n, "k": k,
                                  "grid": [str(g) for g in vals],
                                  "t_values": None if t_values is None else
@@ -440,7 +454,7 @@ def transversality_check(n: int, k: int, p: GermPoint, t=None) -> JetReport:
             if not arow:
                 continue
             hrow = hess[row]
-            acc += arow * sum((hrow[v][j] * b[j] for j in range(m)), Fraction(0))
+            acc += arow * sum((h * bj for h, bj in zip(hrow[v], b) if h and bj), Fraction(0))
         return acc
 
     pairing = [[pair(a, v, b) for a in cokb for b in kerb] for v in range(m)]

@@ -142,6 +142,10 @@ COST_REFUSALS = {
              "STRATIFY_MAX_POINTS", germs.STRATIFY_MAX_POINTS,
              cli.germlab, ["stratify", "--n", "4", "--k", "1", "--grid", "0,1,2,3,4,5,6,7,8,9",
                            "--t-grid", "0,1"]),
+    # one point, but one that costs like (600/20)^3 small ones
+    "scan-dimension": (lambda: germs.stratify_grid(600, 1, [0]),
+                       "STRATIFY_MAX_POINTS", germs.STRATIFY_MAX_POINTS,
+                       cli.germlab, ["stratify", "--n", "600", "--k", "1", "--grid", "0"]),
     "total-sw": (lambda: bundles.check_total_sw_cost(
                      bundles.parse_bundle_expr(OVER_SUM, {"nu_f": 8})),
                  "TOTAL_SW_MAX_PRODUCTS", bundles.TOTAL_SW_MAX_PRODUCTS,
@@ -486,6 +490,17 @@ def test_stratify_cost_guard_refuses_before_any_work(runner, monkeypatch):
     res = runner.invoke(cli.germlab, ["scan-sigma2"] + base)
     assert res.exit_code == 2
     assert "10^4 x 11" in res.output
+    # a point's weight grows as n^3: one point at n = 600 is refused, at
+    # n = 300 it gets as far as the scan
+    for cmd in ("stratify", "scan-sigma2"):
+        res = runner.invoke(cli.germlab, [cmd, "--n", "600", "--k", "1", "--grid", "0"])
+        assert res.exit_code == 2
+        assert bound in res.output
+    res = runner.invoke(cli.germlab, ["stratify", "--n", "300", "--k", "1", "--grid", "0"])
+    assert isinstance(res.exception, AssertionError)
+    # a one-value grid is one point per pass, and its passes count as well
+    with pytest.raises(ValueError, match=bound):
+        germs.stratify_grid(4, 1, [0], range(germs.STRATIFY_MAX_POINTS))
     # the estimate stays cheap for an absurd dimension
     res = runner.invoke(cli.germlab, ["stratify", "--n", str(10 ** 9), "--k", "1",
                                       "--grid", "0,1"])

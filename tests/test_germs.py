@@ -7,11 +7,13 @@ from itertools import product
 
 import pytest
 
-from singcalc.germs import (GermPoint, corank, jacobian_f, jacobian_tilde_f,
+from singcalc import germs
+from singcalc.germs import (GermPoint, JetReport, corank, jacobian_f, jacobian_tilde_f,
                             normal_form_f, on_cusp_locus, on_sigma,
                             sigma_closed, sigma_oracle, stratify_grid,
                             tilde_f, transversality_check)
-from singcalc.jets import jacobian_ad
+from singcalc.jets import hessian_ad, jacobian_ad
+from singcalc.linalg import bareiss_rank
 from singcalc.germs import _tilde_f_coords
 
 
@@ -83,6 +85,124 @@ def test_sigma_closed_matches_gram_schmidt_oracle(n, k):
     for _ in range(30):
         p = _random_sigma_point(rng, n, k)
         assert sigma_closed(n, k, p) == sigma_oracle(n, k, p)
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _dense_sigma_oracle(n, k, p):
+    """The Gram-Schmidt oracle on dense Fraction vectors of length n+k, as
+    sigma_oracle was before it went sparse and fraction-free."""
+    dim = n + k
+    z = p.z
+
+    def vec(entries):
+        v = [Fraction(0)] * dim
+        for idx, val in entries.items():
+            v[idx] = Fraction(val)
+        return v
+
+    def X(j):
+        return j - 1
+
+    def Y(i):
+        return 2 * k + 1 + i - 1
+
+    Z = 2 * k + 1 + k
+
+    us = [vec({X(2 * i - 1): 1, Y(i): z}) for i in range(1, k + 1)]
+    us.append(vec({X(2 * k + 1): 1, Z: z}))
+    vs = [vec({X(2 * i): 1, Y(i): z * z}) for i in range(1, k + 1)]
+    d2 = vec({Y(i): 2 * p.x[2 * i - 1] for i in range(1, k + 1)})
+    d2[Z] = 6 * z
+
+    vts = []
+    for u, v in zip(us, vs):
+        c = _dot(u, v) / _dot(u, u)
+        vts.append([b - c * a for a, b in zip(u, v)])
+    sigma = d2
+    for u in us + vts:
+        c = _dot(u, sigma) / _dot(u, u)
+        sigma = [b - c * a for a, b in zip(u, sigma)]
+    return tuple(sigma)
+
+
+@pytest.mark.parametrize("n,k,count", [(4, 1, 40), (5, 1, 40), (6, 2, 30), (8, 3, 30),
+                                       (12, 5, 20), (64, 30, 1)])
+def test_sigma_oracle_matches_the_dense_reference(n, k, count):
+    rng = random.Random(1000 * n + k)
+    for _ in range(count):
+        p = _random_sigma_point(rng, n, k)
+        got = sigma_oracle(n, k, p)
+        assert got == _dense_sigma_oracle(n, k, p)
+        assert all(type(c) is Fraction for c in got)
+
+
+class _Work:
+    products = 0
+
+
+class _CountingInt(int):
+    """An int that counts the products it takes part in; sums, differences
+    and products with it stay counting ints."""
+
+    def __mul__(self, other):
+        _Work.products += 1
+        return _CountingInt(int(self) * int(other))
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _CountingInt(int(self) + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _CountingInt(int(self) - int(other))
+
+    def __rsub__(self, other):
+        return _CountingInt(int(other) - int(self))
+
+
+class _CountingFraction(Fraction):
+    """A Fraction that counts its products and hands out its numerator and
+    denominator as counting ints."""
+
+    def __mul__(self, other):
+        _Work.products += 1
+        return Fraction.__mul__(self, other)
+
+    def __rmul__(self, other):
+        _Work.products += 1
+        return Fraction.__rmul__(self, other)
+
+    @property
+    def numerator(self):
+        return _CountingInt(self._numerator)
+
+    @property
+    def denominator(self):
+        return _CountingInt(self._denominator)
+
+
+def test_sigma_oracle_work_does_not_grow_with_the_s_block(monkeypatch):
+    # with germs.Fraction patched the point holds counting Fractions, so every
+    # product the oracle forms from its coordinates is counted; building the
+    # n+k output Fractions forms none
+    work = {}
+    for n in (4, 40, 400):
+        coords = [Fraction(-2, 3), Fraction(2, 3), Fraction(-3, 4), Fraction(1, 2)]
+        coords += [Fraction(5, 7)] * (n - 4)
+        with monkeypatch.context() as m:
+            m.setattr(germs, "Fraction", _CountingFraction)
+            p = GermPoint.make(n, 1, coords)
+            _Work.products = 0
+            got = sigma_oracle(n, 1, p)
+            work[n] = _Work.products
+        assert got == sigma_closed(n, 1, p)
+    assert work[4] > 0
+    assert work[4] == work[40] == work[400]
 
 
 def test_sigma_oracle_rejects_off_locus():
@@ -254,6 +374,59 @@ def test_transversality_at_cusp_origin(n, k):
     # the y/t pair alone misses the target; swapping in the z column fixes it
     assert trans["claimed_units_span"] is False
     assert trans["z_variant_units_span"] is True
+
+
+def _dense_pairing(n, k, p, t, kerb, cokb):
+    """a . (d_v J) b for every direction v, over every Hessian and kernel
+    entry, zeros included."""
+    hess = hessian_ad(lambda c: _tilde_f_coords(n, k, c), p.coords() + [Fraction(t)])
+    m = n + 1
+
+    def pair(a, v, b):
+        return sum((a[row] * sum((hess[row][v][j] * b[j] for j in range(m)), Fraction(0))
+                    for row in range(len(a))), Fraction(0))
+
+    return [[pair(a, v, b) for a in cokb for b in kerb] for v in range(m)]
+
+
+def _mix_cokernel(report):
+    # an invertible recombination with no zero coefficient (Vandermonde rows
+    # j^i): every new covector has the same support, so a pairing that reads
+    # only where a covector is nonzero, not its entries, loses rank
+    cokb = report.cokernel_basis
+    mixed = [tuple(sum((Fraction(j + 1) ** i * a[q] for j, a in enumerate(cokb)),
+                       Fraction(0)) for q in range(len(cokb[0])))
+             for i in range(len(cokb))]
+    return JetReport(report.rank, report.corank, report.kernel_basis, mixed)
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 2)])
+def test_transversality_pairing_matches_the_dense_reference(monkeypatch, n, k, mixed):
+    coords = [0] * (2 * k + 2) + [Fraction(7, 2)] * (n - 2 * k - 2)
+    pt = GermPoint.make(n, k, coords, t=0)
+    plain = transversality_check(n, k, pt)
+    if mixed:
+        real_corank = germs.corank
+        monkeypatch.setattr(germs, "corank", lambda jac: _mix_cokernel(real_corank(jac)))
+    ranked = []
+
+    def spy(matrix):
+        ranked.append(matrix)
+        return bareiss_rank(matrix)
+
+    monkeypatch.setattr(germs, "bareiss_rank", spy)
+    rep = transversality_check(n, k, pt)
+    pairing = _dense_pairing(n, k, pt, 0, rep.kernel_basis, rep.cokernel_basis)
+    assert ranked[0] == pairing
+    # the fields that read the pairing come from the dense one, the unit-span
+    # fields (which do not) from the report
+    got = bareiss_rank(pairing)
+    ref = JetReport(rep.rank, rep.corank, rep.kernel_basis, rep.cokernel_basis,
+                    dict(rep.transversality, rank=got, surjective=got == 2 * (k + 1)))
+    assert rep == ref
+    # surjectivity does not depend on the cokernel basis
+    assert rep.transversality == plain.transversality
 
 
 def test_transversality_invariant_under_s_translation():
