@@ -8,15 +8,15 @@ A polynomial is a set of monomials; adding a monomial twice cancels it.
 Every monomial is canonical: a tuple of (generator, exponent) pairs sorted
 by gen_sort_key, each generator at most once, every exponent >= 1, so equal
 monomials are equal tuples. Only this module knows that layout: monomials
-are edited by split (and split_above) and mono_mul, which keep them canonical
-without re-sorting, and mono() sorts only outside input (poly_from_json).
-It is also the one place that groups terms by degree: GF2Poly.graded() gives
-a class's homogeneous parts, in increasing degree and each keeping the class's
-max_degree, from one pass over the terms.
+are edited by split (and split_above) and mono_mul, a merge that compares
+generator tuples, not sort keys; none re-sorts, and mono() sorts only outside
+input (poly_from_json). GF2Poly.graded() is the one place that groups terms
+by degree: a class's homogeneous parts, in increasing degree and each keeping
+the class's max_degree, from one pass over the terms.
 
-The module also implements the first Steenrod square sq1 as a derivation
-acting on generators through the Wu formula, its exact preimage solver,
-and inversion of total classes degree by degree.
+The module also implements the first Steenrod square sq1, the Wu formula
+extended as a derivation and applied as direct edits of each term's tuple,
+its exact preimage solver, and inversion of total classes degree by degree.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ def mono(pairs: Iterable[tuple]) -> tuple:
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
     """Product of two canonical monomials: one merge of the two sorted
-    pair sequences, adding the exponents of a generator both contain."""
+    pair sequences, adding the exponents of a generator both contain. Two
+    w's or two t's compare as tuples (gen_sort_key order); a w precedes a t."""
     if not m1:
         return m2
     if not m2:
@@ -95,31 +96,27 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     out = []
     n1, n2 = len(m1), len(m2)
     i = j = 0
-    p1, p2 = m1[0], m2[0]
-    k1, k2 = gen_sort_key(p1[0]), gen_sort_key(p2[0])
+    g1, g2 = m1[0][0], m2[0][0]
     while True:
-        if k1 < k2:
-            out.append(p1)
-            i += 1
-            if i == n1:
-                break
-            p1 = m1[i]
-            k1 = gen_sort_key(p1[0])
-        elif k2 < k1:
-            out.append(p2)
-            j += 1
-            if j == n2:
-                break
-            p2 = m2[j]
-            k2 = gen_sort_key(p2[0])
-        else:
-            out.append((p1[0], p1[1] + p2[1]))
+        if g1 == g2:
+            out.append((g1, m1[i][1] + m2[j][1]))
             i += 1
             j += 1
             if i == n1 or j == n2:
                 break
-            p1, p2 = m1[i], m2[j]
-            k1, k2 = gen_sort_key(p1[0]), gen_sort_key(p2[0])
+            g1, g2 = m1[i][0], m2[j][0]
+        elif g1 < g2 if g1[0] == g2[0] else g1[0] == "w":
+            out.append(m1[i])
+            i += 1
+            if i == n1:
+                break
+            g1 = m1[i][0]
+        else:
+            out.append(m2[j])
+            j += 1
+            if j == n2:
+                break
+            g2 = m2[j][0]
     # at most one of the two tails is left
     return tuple(out) + m1[i:] + m2[j:]
 
@@ -147,12 +144,12 @@ def split_above(m: tuple, i: int) -> tuple:
 
 
 def mono_degree(m: tuple) -> int:
-    return sum(g[2] * e if g[0] == "w" else e for g, e in m)
+    return sum([g[2] * e if g[0] == "w" else e for g, e in m])
 
 
 def mono_sort_key(m: tuple) -> tuple:
     # graded-lexicographic: total degree first, then the generator sequence
-    return (mono_degree(m), tuple((gen_sort_key(g), e) for g, e in m))
+    return (mono_degree(m), tuple([(gen_sort_key(g), e) for g, e in m]))
 
 
 def mono_str(m: tuple) -> str:
@@ -381,30 +378,45 @@ def poly_from_json(obj: list, max_degree: Optional[int] = None) -> GF2Poly:
 def sq1(p: GF2Poly) -> GF2Poly:
     """First Steenrod square, extended from generators as a derivation.
 
-    A generator g of odd exponent in a term m contributes rest * sq1(g),
-    where rest is m with one factor g removed, and sq1(g) comes from the
-    Wu formula: t -> t^2, and w_i -> w_1 w_i, plus w_{i+1} for even i,
-    with w_1 and w_{i+1} from g's own bundle. Every product has degree
-    deg(m) + 1, so the degree cut is made once per term.
+    A generator g of odd exponent in a term m contributes m / g * sq1(g),
+    with sq1(g) from the Wu formula: t -> t^2, and w_i -> w_1 w_i, plus
+    w_{i+1} for even i, in g's own bundle. Each is one edit of m's tuple: t
+    gains one in place; an even w_i passes one to w_{i+1}, which follows it
+    in the tuple; a bundle with an odd count of odd w's adds m * w_1 at the
+    head of its run. Results have degree deg(m) + 1: one cut per term.
     """
     bound = None if p.max_degree is None else p.max_degree + 1
     acc: set = set()
     for m in p.terms:
         if bound is not None and mono_degree(m) >= bound:
             continue
+        owed: dict = {}  # bundle -> start of its run, while m * w_1 is owed
+        bundle = None
         for j, (g, e) in enumerate(m):
-            if e % 2 == 0:
-                continue
-            head, tail = m[:j], m[j + 1:]
-            rest = head + ((g, e - 1),) + tail if e > 1 else head + tail
             if g[0] == "t":
-                acc ^= {mono_mul(rest, ((g, 2),))}
+                if e & 1:
+                    acc ^= {m[:j] + ((g, e + 1),) + m[j + 1:]}
                 continue
-            _, bundle, i = g
-            w1 = ("w", bundle, 1)
-            acc ^= {mono_mul(rest, ((w1, 2),) if i == 1 else ((w1, 1), (g, 1)))}
-            if i % 2 == 0:
-                acc ^= {mono_mul(rest, ((("w", bundle, i + 1), 1),))}
+            if g[1] != bundle:
+                bundle, start = g[1], j
+            if not e & 1:
+                continue
+            if owed.pop(bundle, None) is None:
+                owed[bundle] = start
+            if g[2] & 1:
+                continue
+            head = m[:j] + ((g, e - 1),) if e > 1 else m[:j]
+            up = ("w", bundle, g[2] + 1)
+            if j + 1 < len(m) and m[j + 1][0] == up:
+                acc ^= {head + ((up, m[j + 1][1] + 1),) + m[j + 2:]}
+            else:
+                acc ^= {head + ((up, 1),) + m[j + 1:]}
+        for bundle, j in owed.items():
+            g, e = m[j]
+            if g[2] == 1:
+                acc ^= {m[:j] + ((g, e + 1),) + m[j + 1:]}
+            else:
+                acc ^= {m[:j] + ((("w", bundle, 1), 1),) + m[j:]}
     return GF2Poly(frozenset(acc), bound)
 
 

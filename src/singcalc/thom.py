@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
+from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, total_sw
 from .bundles import LineBundle, Named, Sum
 from .gf2 import (GF2Poly, Packing, linegen, mono_degree, mono_mul, poly_to_json,
                   split, verifier_bound, wgen, wpoly)
@@ -304,11 +304,19 @@ def _absorb_kernel_line(p: GF2Poly, k: int, tag: str = "t") -> GF2Poly:
     return GF2Poly(frozenset(out), p.max_degree)
 
 
-# The derivation works to the degree d = max(bound, 4(k+1), r(k+1)): its
-# total class grows with d, and the twisted top class with k <= d/4 - 1 about
-# as k^2. On a 2-core machine d = 1000 takes at most 0.06 s (at k = 249);
-# r = k = 150 (d = 22 650) took 0.34 s and r = 2, k = 2499 (d = 10 000) 2.2 s.
+# The derivation works to the degree d = max(bound, 4(k+1), r(k+1)), and its
+# total class grows with d. On a 2-core machine d = 1000 takes at most 0.03 s
+# (at k = 249); r = k = 150 (d = 22 650) took 0.42 s, r = 2, k = 2499
+# (d = 10 000) 0.19 s and r = k = 300 (d = 90 300) 2.0 s.
 MORIN_DERIVATION_MAX_DEGREE = 1000
+
+
+def _twisted_top(red: GF2Poly, k: int, tag: str, d: int) -> GF2Poly:
+    """Top class of (line t) tensor (rank k+1 with total class red): a term of
+    degree i <= k+1 meets t^(k+1-i) with coefficient C(k+1-i, k+1-i) = 1."""
+    t = linegen(tag)
+    return GF2Poly.from_terms((mono_mul(m, ((t, s),)) if s else m
+                               for m in red.terms if (s := k + 1 - mono_degree(m)) >= 0), d)
 
 
 def verify_morin_derivation(r: int, k: int,
@@ -339,7 +347,7 @@ def verify_morin_derivation(r: int, k: int,
     e1_expected = wpoly(k + 1, "", d) + GF2Poly.gen(linegen(tag), d) * wpoly(k, "", d)
     report.check_equal("E1 = w_{k+1} + t w_k", e1, e1_expected)
 
-    e2 = tensor_line(tag, k + 1, red.truncate(k + 1), d).homogeneous_part(k + 1)
+    e2 = _twisted_top(red, k, tag, d)
     report.check_equal("E2: twisted top class collapses to w_{k+1}",
                        e2, wpoly(k + 1, "", d))
 
