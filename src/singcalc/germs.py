@@ -81,17 +81,22 @@ def _check_point(n: int, k: int, p: GermPoint) -> None:
 
 # the germ and its perturbation --------------------------------------------
 
+# The maps run on Fractions, floats, jets and sympy symbols. Repeated product
+# prefixes (z*z, 2*t, 2*t*z, ...) are named once, with every product in its
+# left-to-right order and every division in place, so floats stay bit-identical.
+
 def _f_coords(n: int, k: int, coords: Sequence) -> list:
     """Normal form, generically over any field elements."""
     xs = coords[:2 * k]
     y = coords[2 * k]
     z = coords[2 * k + 1]
     ss = coords[2 * k + 2:]
+    zz = z * z
     out = list(xs)
     out.append(y)
     for i in range(1, k + 1):
-        out.append(z * xs[2 * i - 2] + z * z * xs[2 * i - 1])
-    out.append(z * y + z * z * z)
+        out.append(z * xs[2 * i - 2] + zz * xs[2 * i - 1])
+    out.append(z * y + zz * z)
     out.extend(ss)
     return out
 
@@ -103,18 +108,23 @@ def _tilde_f_coords(n: int, k: int, coords: Sequence) -> list:
     z = coords[2 * k + 1]
     ss = coords[2 * k + 2:n]
     t = coords[n]
-    q1 = 1 + z * z
-    q2 = 1 + z * z + z * z * z * z
+    zz = z * z
+    t2 = 2 * t
+    t2z = t2 * z
+    t2zz = t2z * z
+    t6z = 6 * t * z
+    q1 = 1 + zz
+    q2 = q1 + zz * z * z
     out = []
     for i in range(1, k + 1):
         xo, xe = xs[2 * i - 2], xs[2 * i - 1]
-        out.append(xo - 2 * t * z * xe / q2)
-        out.append(xe - 2 * t * z * z * xe / q2)
-    out.append(y - 6 * t * z * z / q1)
+        out.append(xo - t2z * xe / q2)
+        out.append(xe - t2zz * xe / q2)
+    out.append(y - t6z * z / q1)
     for i in range(1, k + 1):
         xo, xe = xs[2 * i - 2], xs[2 * i - 1]
-        out.append(z * xo + z * z * xe + 2 * t * xe / q2)
-    out.append(z * y + z * z * z + 6 * t * z / q1)
+        out.append(z * xo + zz * xe + t2 * xe / q2)
+    out.append(z * y + zz * z + t6z / q1)
     out.extend(ss)
     return out
 

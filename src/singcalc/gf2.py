@@ -147,18 +147,22 @@ def mono_degree(m: tuple) -> int:
     return sum([g[2] * e if g[0] == "w" else e for g, e in m])
 
 
-def mono_sort_key(m: tuple) -> tuple:
-    # graded-lexicographic: total degree first, then the generator sequence
-    return (mono_degree(m), tuple([(gen_sort_key(g), e) for g, e in m]))
+def _graded_lex(terms) -> tuple:
+    """(terms sorted by degree, then by their (gen_sort_key(g), e) pairs; their
+    generators in gen_sort_key order). A term's key is the int list [degree,
+    rank_0, e_0, rank_1, e_1, ...], a rank being a generator's place in that order."""
+    gens = sorted({g for m in terms for g, _ in m}, key=gen_sort_key)
+    rank = {g: (r, gen_degree(g)) for r, g in enumerate(gens)}
 
+    def key(m):
+        out = [0]
+        for g, e in m:
+            r, d = rank[g]
+            out[0] += d * e
+            out += (r, e)
+        return out
 
-def mono_str(m: tuple) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for g, e in m:
-        parts.append(gen_name(g) if e == 1 else f"{gen_name(g)}^{e}")
-    return "*".join(parts)
+    return sorted(terms, key=key), gens
 
 
 class Packing:
@@ -336,7 +340,7 @@ class GF2Poly:
         return len({mono_degree(m) for m in self.terms}) <= 1
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms, key=mono_sort_key)
+        return _graded_lex(self.terms)[0]
 
     def line_tags(self) -> set:
         return {g[1] for m in self.terms for g, _ in m if g[0] == "t"}
@@ -344,7 +348,8 @@ class GF2Poly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(mono_str(m) for m in self.sorted_terms())
+        return " + ".join("*".join(name if e == 1 else f"{name}^{e}" for name, e in term) or "1"
+                          for term in poly_to_json(self))
 
 
 def wpoly(i: int, bundle: str = "", max_degree: Optional[int] = None) -> GF2Poly:
@@ -363,7 +368,9 @@ def linepoly(tag: str, max_degree: Optional[int] = None) -> GF2Poly:
 
 
 def poly_to_json(p: GF2Poly) -> list:
-    return [[[gen_name(g), e] for g, e in m] for m in p.sorted_terms()]
+    terms, gens = _graded_lex(p.terms)
+    names = {g: gen_name(g) for g in gens}
+    return [[[names[g], e] for g, e in m] for m in terms]
 
 
 def poly_from_json(obj: list, max_degree: Optional[int] = None) -> GF2Poly:

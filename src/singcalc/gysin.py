@@ -10,6 +10,9 @@ of the line class g, with the degree cut made once per term. The fiber
 integration q_! sends a^m to the degree-(m-n+1) part of the inverse total
 class of TM; i_push, along the inclusion of a singular locus whose normal
 data contributes w_{k+m+1}, sends t^m to w_{k+m+1}.
+
+verify_pushforward grades the inverse of w(TM) once for both sides, and
+its normal-class side forms only the compared degree's products.
 """
 
 from __future__ import annotations
@@ -64,19 +67,19 @@ def _push(x: GF2Poly, g: tuple, image, max_degree: Optional[int]) -> GF2Poly:
 
 
 def q_push(x: GF2Poly, n: int, max_degree: int,
-           tm_inverse: Optional[GF2Poly] = None) -> GF2Poly:
+           inverse_parts: Optional[dict] = None) -> GF2Poly:
     """Fiber integration along q: P(TM) -> M.
 
     Linear over TM/F classes; a^m integrates to the degree-(m-n+1)
     component of the inverse total class of TM (0 for negative index,
     1 for index 0). A caller that already holds that inverse, to degree
-    max_degree, passes it as tm_inverse.
+    max_degree, passes its terms by degree, {degree: terms}, as inverse_parts.
     """
-    if tm_inverse is None:
-        tm_inverse = inverse_total(tm_total(n, max_degree), max_degree)
-    parts = {d: part.terms for d, part in tm_inverse.graded().items()}
+    if inverse_parts is None:
+        inverse = inverse_total(tm_total(n, max_degree), max_degree)
+        inverse_parts = {d: part.terms for d, part in inverse.graded().items()}
     return _push(x, linegen(TAUT_TAG),
-                 lambda m: (m - n + 1, parts.get(m - n + 1, ())), max_degree)
+                 lambda m: (m - n + 1, inverse_parts.get(m - n + 1, ())), max_degree)
 
 
 def i_push(x: GF2Poly, k: int, max_degree: Optional[int] = None, tag: str = "t") -> GF2Poly:
@@ -127,10 +130,12 @@ def _check_pushforward_cost(n: int, k: int, r: int) -> None:
     for each i <= n + k. a^r takes at most 2 * bit_length(r) one-term
     products and squarings, and n + k + 1 more to multiply the class. For
     each term of the inverse total class of TM to degree d = k + r + 1, the
-    check forms at most min(n, d) products in inverse_total, min(n + k, d) + 1
-    in the normal-class side and one in the fiber integration. The inverse
-    holds at least the d + 1 powers of w_1, so that count refuses a large d
-    before the exact count runs.
+    check forms at most min(n, d) products in inverse_total, one in the
+    fiber integration and one in the normal-class side (w(F) has one term of
+    each degree), which is still charged min(n + k, d) + 1, as when it formed
+    all of w(F) * w(TM)^-1, so that the refused inputs stay the same. The
+    inverse holds at least the d + 1 powers of w_1, so that count refuses a
+    large d before the exact count runs.
     """
     d = k + r + 1
     zero_locus = 3 * (n + k + 1) + 2 * r.bit_length()
@@ -153,13 +158,20 @@ def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None)
     d = verifier_bound(max_degree, needed, needed)
     report = Report("verify lemma-pushforward", {"n": n, "k": k, "r": r, "max_degree": d})
     # the inverse of w(TM) is common input to both sides, not a derivation
-    tm_inverse = inverse_total(tm_total(n, needed), needed)
-    lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, needed, tm_inverse)
+    inverse = inverse_total(tm_total(n, needed), needed)
+    inverse_parts = {e: part.terms for e, part in inverse.graded().items()}
+    lhs = q_push(taut_class(None) ** r * zero_locus_class(n, k, None), n, needed, inverse_parts)
     lhs = lhs.homogeneous_part(needed)
-    rhs = (f_total(n, k, needed) * tm_inverse).homogeneous_part(needed)
-    report.check_equal("fiber integration equals normal-class expansion", lhs, rhs,
-                       detail=f"degree {needed}")
+    # [w(F) / w(TM)]_needed = sum over e of [w(F)]_e * [w(TM)^-1]_(needed - e)
+    acc: set = set()
+    for e, part in f_total(n, k, needed).graded().items():
+        for m1 in part.terms:  # m2 -> m1 * m2 is one to one
+            acc ^= {mono_mul(m1, m2) for m2 in inverse_parts.get(needed - e, ())}
+    rhs = GF2Poly(frozenset(acc), needed)
+    same = report.check_equal("fiber integration equals normal-class expansion", lhs, rhs,
+                              detail=f"degree {needed}")
     report.artifacts["pushforward_side"] = poly_to_json(lhs)
-    report.artifacts["normal_class_side"] = poly_to_json(rhs)
+    report.artifacts["normal_class_side"] = (report.artifacts["pushforward_side"] if same
+                                             else poly_to_json(rhs))
     report.add("degree", INFO, f"compared homogeneous degree {needed}")
     return report

@@ -1,9 +1,11 @@
-"""Order-2 truncated Taylor arithmetic (value, gradient, Hessian) over exact
-rationals, plus a float central-difference fallback.
+"""Order-1 or order-2 truncated Taylor arithmetic (value, gradient, Hessian)
+over exact rationals, plus a float central-difference fallback.
 
 A Jet2 tracks f(p), Df(p) and D^2 f(p) through ring operations and division,
 so rational-function formulas differentiate exactly; this is the
-independent oracle the closed-form Jacobians are tested against.
+independent oracle the closed-form Jacobians are tested against. An order-1
+jet (jacobian_ad's) has no Hessian, h is None, and skips every Hessian
+update; combining two jets gives the lower of their orders.
 
 Storage is sparse (the forward mode of Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., ch. 13, with sparse derivative vectors): the gradient
@@ -17,7 +19,7 @@ number share them. `grad` and `hess` are dense read-only views.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 _ZERO = Fraction(0)
 
@@ -28,16 +30,19 @@ def _num(c):
     return c if isinstance(c, (int, Fraction)) else Fraction(c)
 
 
-def _scaled(d: dict, c) -> dict:
-    return {key: c * v for key, v in d.items()}
+def _scaled(d: Optional[dict], c) -> Optional[dict]:
+    return None if d is None else {key: c * v for key, v in d.items()}
 
 
 def _add_into(out: dict, key, v) -> None:
     out[key] = out[key] + v if key in out else v
 
 
-def _lin(d1: dict, c1, d2: dict, c2) -> dict:
-    """c1*d1 + c2*d2 as a new dict; a coefficient of 1 costs no products."""
+def _lin(d1: Optional[dict], c1, d2: Optional[dict], c2) -> Optional[dict]:
+    """c1*d1 + c2*d2 as a new dict, None if either is; a coefficient of 1
+    costs no products."""
+    if d1 is None or d2 is None:
+        return None
     out = dict(d1) if c1 == 1 else _scaled(d1, c1)
     for key, v in d2.items():
         _add_into(out, key, v if c2 == 1 else c2 * v)
@@ -45,8 +50,8 @@ def _lin(d1: dict, c1, d2: dict, c2) -> dict:
 
 
 class Jet2:
-    """Second-order jet in m variables: value `val`, sparse gradient `g`
-    {i: d_i} and sparse upper-triangle Hessian `h` {(i, j): d_ij}, i <= j."""
+    """Jet in m variables: value `val`, sparse gradient `g` {i: d_i} and
+    sparse upper-triangle Hessian `h` {(i, j): d_ij}, i <= j (None at order 1)."""
 
     __slots__ = ("val", "g", "h", "m")
 
@@ -63,8 +68,8 @@ class Jet2:
         return Jet2(Fraction(c), {}, {}, m)
 
     @staticmethod
-    def var(value, index: int, m: int) -> "Jet2":
-        return Jet2(Fraction(value), {index: Fraction(1)}, {}, m)
+    def var(value, index: int, m: int, order: int = 2) -> "Jet2":
+        return Jet2(Fraction(value), {index: Fraction(1)}, {} if order == 2 else None, m)
 
     # dense read-only views ---------------------------------------------------
 
@@ -74,6 +79,8 @@ class Jet2:
 
     @property
     def hess(self) -> tuple:
+        if self.h is None:
+            raise ValueError("an order-1 jet carries no Hessian")
         rows = [[_ZERO] * self.m for _ in range(self.m)]
         for (i, j), v in self.h.items():
             rows[i][j] = rows[j][i] = v
@@ -108,22 +115,24 @@ class Jet2:
         a, b = self.val, other.val
         # D^2(fg) = f D^2 g + g D^2 f + Df Dg^T + Dg Df^T
         h = _lin(self.h, b, other.h, a)
-        for i, x in self.g.items():
-            for j, y in other.g.items():
-                xy = x * y
-                if i < j:
-                    _add_into(h, (i, j), xy)
-                elif i > j:
-                    _add_into(h, (j, i), xy)
-                else:
-                    _add_into(h, (i, i), xy + xy)
+        if h is not None:
+            for i, x in self.g.items():
+                for j, y in other.g.items():
+                    xy = x * y
+                    if i < j:
+                        _add_into(h, (i, j), xy)
+                    elif i > j:
+                        _add_into(h, (j, i), xy)
+                    else:
+                        _add_into(h, (i, i), xy + xy)
         return Jet2(a * b, _lin(self.g, b, other.g, a), h, self.m)
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1, f2) -> "Jet2":
         """phi(self) for a univariate phi with phi = f0, phi' = f1 and
-        phi'' = f2 at self.val: D phi = f1 Df, D^2 phi = f1 D^2 f + f2 Df Df^T."""
+        phi'' = f2 at self.val: D phi = f1 Df, D^2 phi = f1 D^2 f + f2 Df Df^T.
+        Callers pass f2 = 0 at order 1, where there is no Hessian to update."""
         h = _scaled(self.h, f1)
         if f2:
             items = sorted(self.g.items())
@@ -138,7 +147,7 @@ class Jet2:
             raise ZeroDivisionError("jet with zero value part")
         inv = 1 / self.val
         inv2 = inv * inv
-        return self._compose(inv, -inv2, 2 * inv2 * inv)
+        return self._compose(inv, -inv2, 0 if self.h is None else 2 * inv2 * inv)
 
     def __truediv__(self, other) -> "Jet2":
         if not isinstance(other, Jet2):
@@ -156,13 +165,15 @@ class Jet2:
         if e == 0:
             return Jet2.const(1, self.m)
         v = self.val
-        f2 = e * (e - 1) * v ** (e - 2) if e >= 2 else 0
+        f2 = e * (e - 1) * v ** (e - 2) if e >= 2 and self.h is not None else 0
         return self._compose(v ** e, e * v ** (e - 1), f2)
 
 
-def seed(point: Sequence) -> List[Jet2]:
+def seed(point: Sequence, order: int = 2) -> List[Jet2]:
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, got {order}")
     m = len(point)
-    return [Jet2.var(v, i, m) for i, v in enumerate(point)]
+    return [Jet2.var(v, i, m, order) for i, v in enumerate(point)]
 
 
 MapFn = Callable[[Sequence], Sequence]
@@ -170,13 +181,13 @@ MapFn = Callable[[Sequence], Sequence]
 
 def jacobian_ad(fn: MapFn, point: Sequence) -> List[List[Fraction]]:
     """Exact Jacobian of a componentwise rational map at a rational point."""
-    jets = fn(seed(point))
+    jets = fn(seed(point, 1))
     return [list(j.grad) for j in jets]
 
 
 def hessian_ad(fn: MapFn, point: Sequence) -> List[Tuple[Tuple[Fraction, ...], ...]]:
     """Exact Hessian of every component: tensor[row][i][j]."""
-    jets = fn(seed(point))
+    jets = fn(seed(point, 2))
     return [j.hess for j in jets]
 
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcalc.bundles import parse_bundle_expr, total_sw
-from singcalc.gf2 import (GF2Poly, Packing, _bound_min, gen_degree, inverse_total,
-                          linegen, mono, mono_degree, mono_mul, parse_gen,
+from singcalc.gf2 import (GF2Poly, Packing, _bound_min, gen_degree, gen_name, gen_sort_key,
+                          inverse_total, linegen, mono, mono_degree, mono_mul, parse_gen,
                           poly_from_json, poly_to_json, split, split_above, sq1,
                           sq1_preimage, wgen, wpoly)
 from singcalc.gysin import tm_total
@@ -238,6 +238,31 @@ def test_products_match_plain_products(a, b):
             got, want = p * q, _plain_product(p, q)
             assert got.terms == want.terms
             assert got.max_degree == want.max_degree
+
+
+def mono_sort_key(m):
+    # the order reference: total degree first, then the generator sequence
+    return (mono_degree(m), tuple([(gen_sort_key(g), e) for g, e in m]))
+
+
+def _mono_str(m):
+    return "*".join(gen_name(g) if e == 1 else f"{gen_name(g)}^{e}" for g, e in m) or "1"
+
+
+@given(wide_polys)
+@settings(max_examples=300)
+def test_sorted_terms_is_the_graded_lexicographic_order(a):
+    # bundles "", "B" and "E" and two line classes, ranked per call
+    want = sorted(a.terms, key=mono_sort_key)
+    assert a.sorted_terms() == want
+    assert poly_to_json(a) == [[[gen_name(g), e] for g, e in m] for m in want]
+    assert str(a) == (" + ".join(map(_mono_str, want)) if want else "0")
+
+
+def test_sorted_terms_on_a_large_class():
+    p = gtp(6, 2)
+    assert p.sorted_terms() == sorted(p.terms, key=mono_sort_key)
+    assert str(GF2Poly.one()) == "1" and str(GF2Poly.zero()) == "0"
 
 
 def test_kernel_builds_no_sort_keys(monkeypatch):

@@ -134,3 +134,19 @@ def test_jet_arithmetic_matches_sympy(tree, point):
         jet = Jet2.const(jet, M)
     expr = _evaluate(tree, sp.symbols(f"c0:{M}").__getitem__, _rational)
     _assert_jet_matches(jet, expr, point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exprs, st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=5),
+                        min_size=M, max_size=M))
+def test_jacobian_ad_is_the_order_2_gradient(tree, point):
+    # jacobian_ad runs order-1 jets; the gradient is the one order 2 carries
+    def fn(jets):
+        jet = _evaluate(tree, jets.__getitem__, lambda c: c)
+        return [jet if isinstance(jet, Jet2) else Jet2.const(jet, M)]
+
+    try:
+        want = [list(j.grad) for j in fn(seed(point))]
+    except ZeroDivisionError:
+        assume(False)
+    assert jacobian_ad(fn, point) == want
