@@ -275,19 +275,30 @@ def check_total_sw_cost(expr: BundleExpr, max_degree: Optional[int] = None) -> N
 # regimes
 
 
+def _check_regime_k(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"regime parameter k must be >= 0, got {k}")
+
+
 @dataclass(frozen=True)
 class Prim:
-    """Locus with w_m(nu) = 0 for m > k+1."""
+    """Locus with w_m(nu) = 0 for m > k+1; k >= 0."""
 
     k: int
+
+    def __post_init__(self):
+        _check_regime_k(self.k)
 
 
 @dataclass(frozen=True)
 class TwistedPrim:
-    """Locus with w_m(nu) = t * w_{m-1}(nu) for m >= k+2."""
+    """Locus with w_m(nu) = t * w_{m-1}(nu) for m >= k+2; k >= 0."""
 
     k: int
     tag: str = "t"
+
+    def __post_init__(self):
+        _check_regime_k(self.k)
 
 
 # On the singular locus of a Morin map, nu (+) l has a genuine rank-(k+1)
@@ -378,8 +389,8 @@ def _token(tokens: list, pos: int) -> str:
     return tokens[pos]
 
 
-def _tag(tokens: list, pos: int) -> str:
-    tag = _token(tokens, pos)
+def line_tag(tag: str) -> str:
+    """tag, when it is an identifier, as the grammar requires of a line tag."""
     if not tag.isidentifier():
         raise ValueError(f"line tag must be an identifier, got {tag!r}")
     return tag
@@ -398,11 +409,11 @@ def _parse_term(tokens: list, pos: int, ranks: dict, depth: int):
         return Trivial(int(rank)), _expect(tokens, pos + 1, ")")
     if tok == "line":
         pos = _expect(tokens, pos + 1, "(")
-        tag = _tag(tokens, pos)
+        tag = line_tag(_token(tokens, pos))
         return LineBundle(tag), _expect(tokens, pos + 1, ")")
     if tok == "tensor":
         pos = _expect(tokens, pos + 1, "(")
-        tag = _tag(tokens, pos)
+        tag = line_tag(_token(tokens, pos))
         pos = _expect(tokens, pos + 1, ",")
         inner, pos = _parse_sum(tokens, pos, ranks, depth + 1)
         return TensorLine(tag, inner), _expect(tokens, pos, ")")

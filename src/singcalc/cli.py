@@ -174,15 +174,18 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
         except ValueError:
             raise click.UsageError(f"--rank expects an integer rank, got {spec!r}")
     d = _resolve_max_deg(max_deg)
-    tree = _run(parse_bundle_expr, expr, ranks)
-    _run(bundles.check_total_sw_cost, tree, d)
-    rank, total = _run(bundles.total_sw, tree, d)
+    _run(bundles.line_tag, tag)
+    reg = None
     if regime != "none":
         if k is None:
             raise click.UsageError(f"--regime {regime} needs --k")
-        reg = {"prim": Prim(k), "twisted": TwistedPrim(k, tag),
-               "nu1": MorinNu1(k, tag)}[regime]
-        total = apply_regime(total, reg)
+        args = (k,) if regime == "prim" else (k, tag)
+        reg = _run({"prim": Prim, "twisted": TwistedPrim, "nu1": MorinNu1}[regime], *args)
+    tree = _run(parse_bundle_expr, expr, ranks)
+    _run(bundles.check_total_sw_cost, tree, d)
+    rank, total = _run(bundles.total_sw, tree, d)
+    if reg is not None:
+        total = _run(apply_regime, total, reg)
     _echo_result(as_json, "total-sw",
                  {"expr": expr, "ranks": ranks, "regime": regime, "k": k, "tag": tag},
                  lambda: f"rank {rank}\n{total}",
@@ -353,6 +356,12 @@ def scan_sigma2_cmd(n, k, grid, t_grid, report_path, as_json):
     profile is reported verbatim, not asserted."""
     gvals = _parse_fractions(grid, "grid")
     tvals = gvals if t_grid is None else _parse_fractions(t_grid, "t-grid")
+    if report_path:  # refused before the scan
+        folder = os.path.dirname(report_path) or "."
+        if os.path.isdir(report_path):
+            raise click.UsageError(f"--report {report_path!r} is a directory")
+        if not os.path.isdir(folder):
+            raise click.UsageError(f"--report {report_path!r}: no directory {folder!r}")
     rep = _run(germs.stratify_grid, n, k, gvals, tvals)
     rep.command = "germlab scan-sigma2"
     if report_path:

@@ -10,9 +10,12 @@ by gen_sort_key, each generator at most once, every exponent >= 1, so equal
 monomials are equal tuples. Only this module knows that layout: monomials
 are edited by split (and split_above) and mono_mul, a merge that compares
 generator tuples, not sort keys; none re-sorts, and mono() sorts only outside
-input (poly_from_json). GF2Poly.graded() is the one place that groups terms
-by degree: a class's homogeneous parts, in increasing degree and each keeping
-the class's max_degree, from one pass over the terms.
+input (poly_from_json). There is no other monomial form: mono_mul is the one
+product of monomials, and add_product, the in-place sum of the products of
+two term sets, serves inverse_total, thom's determinant and the Gysin normal
+side alike. GF2Poly.graded() is the one place that groups terms by degree: a
+class's homogeneous parts, in increasing degree and each keeping the class's
+max_degree, from one pass over the terms.
 
 The module also implements the first Steenrod square sq1, the Wu formula
 extended as a derivation and applied as direct edits of each term's tuple,
@@ -22,7 +25,7 @@ its exact preimage solver, and inversion of total classes degree by degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 # ---------------------------------------------------------------------------
 # generators
@@ -143,6 +146,14 @@ def split_above(m: tuple, i: int) -> tuple:
     return m[lo:hi], m[:lo] + m[hi:]
 
 
+def add_product(acc: set, xs: Iterable[tuple], ys: Collection[tuple]) -> set:
+    """acc + xs * ys over GF(2), in place, on sets of canonical monomials.
+    For a fixed x, y -> x * y is one to one, so each x adds a set."""
+    for x in xs:
+        acc ^= {mono_mul(x, y) for y in ys}
+    return acc
+
+
 def mono_degree(m: tuple) -> int:
     return sum([g[2] * e if g[0] == "w" else e for g, e in m])
 
@@ -163,39 +174,6 @@ def _graded_lex(terms) -> tuple:
         return out
 
     return sorted(terms, key=key), gens
-
-
-class Packing:
-    """Monomials over a fixed set of generators packed into one int.
-
-    Generator g owns a field of (bound // deg g).bit_length() bits (at least
-    one), in gen_sort_key order from the least significant end, and the
-    total degree sits in the top field, which is unbounded. When every
-    monomial ever formed has total degree at most `bound`, no exponent of g
-    exceeds bound // deg g, so no field overflows: a product is one integer
-    addition and "degree <= d" is the single compare `x < self.limit(d)`.
-    A generator of high degree thus costs a few bits, not the bound's width.
-    This is the packed exponent vector of Monagan and Pearce (CASC 2007).
-    """
-
-    def __init__(self, gens: Iterable[tuple], bound: int):
-        self.fields = []  # (generator, shift, mask)
-        shift = 0
-        for g in sorted(set(gens), key=gen_sort_key):
-            width = max(1, (bound // gen_degree(g)).bit_length())
-            self.fields.append((g, shift, (1 << width) - 1))
-            shift += width
-        self.top = shift
-        self.unit = {g: (1 << s) + (gen_degree(g) << shift) for g, s, _ in self.fields}
-
-    def pack(self, m: tuple) -> int:
-        return sum(self.unit[g] * e for g, e in m)
-
-    def unpack(self, x: int) -> tuple:
-        return tuple([(g, e) for g, s, mask in self.fields if (e := x >> s & mask)])
-
-    def limit(self, d: int) -> int:
-        return max(d + 1, 0) << self.top
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +517,21 @@ def sq1_preimage(a: GF2Poly) -> Optional[GF2Poly]:
 def inverse_total(a: GF2Poly, max_degree: int) -> GF2Poly:
     """Multiplicative inverse of a total class (constant term 1) up to degree.
 
-    Runs on packed monomials: a is split into its homogeneous parts once,
-    and the degree-d part of the inverse is the sum of a_e * inv_{d-e} over
-    e > 0, whose terms all have degree d <= bound.
+    a is split into its homogeneous parts once, and the degree-d part of the
+    inverse is the sum of a_e * inv_{d-e} over e > 0, whose terms all have
+    degree d <= bound.
     """
     graded = a.graded()
     if graded.get(0) != GF2Poly.one():
         raise ValueError("inverse_total needs constant term 1")
     bound = _bound_min(max_degree, a.max_degree)
-    pk = Packing((g for m in a.terms for g, _ in m), bound)
-    a_parts = [(e, [pk.pack(m) for m in part.terms])
-               for e, part in graded.items() if 0 < e <= bound]
-    parts = [{0}] if bound >= 0 else []
+    a_parts = [(e, part.terms) for e, part in graded.items() if 0 < e <= bound]
+    parts = [{ONE_MONO}] if bound >= 0 else []
     for d in range(1, bound + 1):
         acc: set = set()
         for e, xs in a_parts:
             if e > d:
                 break
-            for x in xs:
-                acc.symmetric_difference_update(map(x.__add__, parts[d - e]))
+            add_product(acc, xs, parts[d - e])
         parts.append(acc)
-    return GF2Poly(frozenset(pk.unpack(x) for part in parts for x in part), bound)
+    return GF2Poly(frozenset().union(*parts), bound)

@@ -20,8 +20,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .bundles import Named, total_sw
-from .gf2 import (GF2Poly, inverse_total, linegen, mono_degree, mono_mul, poly_to_json,
-                  split, verifier_bound, wgen, wpoly)
+from .gf2 import (GF2Poly, add_product, inverse_total, linegen, mono_degree, mono_mul,
+                  poly_to_json, split, verifier_bound, wgen, wpoly)
 from .reports import INFO, Report
 
 TAUT_TAG = "a"
@@ -165,8 +165,7 @@ def verify_pushforward(n: int, k: int, r: int, max_degree: Optional[int] = None)
     # [w(F) / w(TM)]_needed = sum over e of [w(F)]_e * [w(TM)^-1]_(needed - e)
     acc: set = set()
     for e, part in f_total(n, k, needed).graded().items():
-        for m1 in part.terms:  # m2 -> m1 * m2 is one to one
-            acc ^= {mono_mul(m1, m2) for m2 in inverse_parts.get(needed - e, ())}
+        add_product(acc, part.terms, inverse_parts.get(needed - e, ()))
     rhs = GF2Poly(frozenset(acc), needed)
     same = report.check_equal("fiber integration equals normal-class expansion", lhs, rhs,
                               detail=f"degree {needed}")

@@ -370,9 +370,12 @@ def run_suite(sections: Optional[Iterable[str]] = None,
     """Run the named sections (all by default) and return their reports.
 
     A section that raises is converted into a failing report: the suite's
-    job is to witness problems, not to crash on them.
+    job is to witness problems, not to crash on them. An empty selection is
+    refused.
     """
     wanted = SECTION_NAMES if sections is None else tuple(sections)
+    if not wanted:
+        raise ValueError("no suite section selected; a run that checks nothing cannot pass")
     lookup = dict(_SECTIONS)
     unknown = [s for s in wanted if s not in lookup]
     if unknown:

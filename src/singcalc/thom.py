@@ -23,8 +23,8 @@ from typing import List, Optional
 
 from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, total_sw
 from .bundles import LineBundle, Named, Sum
-from .gf2 import (GF2Poly, Packing, linegen, mono_degree, mono_mul, poly_to_json,
-                  split, verifier_bound, wgen, wpoly)
+from .gf2 import (ONE_MONO, GF2Poly, add_product, linegen, mono_degree, mono_mul,
+                  poly_to_json, split, verifier_bound, wgen, wpoly)
 from .gysin import i_push
 from .integral import IntegralClass, IntPoly, iclass_to_json, v_class
 from .reports import INFO, SKIPPED, Report
@@ -73,51 +73,36 @@ def gtp_matrix(r: int, l: int, max_degree: Optional[int] = None) -> List[List[GF
     return [[entry(i, j) for j in range(1, r + 1)] for i in range(1, r + 1)]
 
 
-def _add_product(acc: set, xs, ys) -> set:
-    # acc + xs * ys over GF(2), in place, on sets of packed monomials
-    for x in xs:
-        acc.symmetric_difference_update(map(x.__add__, ys))
-    return acc
-
-
 def _det(mat: List[List[GF2Poly]], max_degree: Optional[int]) -> GF2Poly:
     # The involution sum of the module docstring, on h = mat[::-1], which must
-    # be symmetric. haf[S] pairs i = min S with each later j, and a square is
-    # a doubling of the packed int. Every monomial formed takes one entry from
-    # each of some rows, so `top`, the sum of the rows' top degrees, bounds its
-    # degree and sets the field widths. No degree is negative, so one cut by
-    # max_degree at the end truncates as a cut at every step would.
+    # be symmetric, over the entries' terms. haf[S] pairs i = min S with each
+    # later j, and a hafnian term is squared by mono_mul(y, y). No degree is
+    # negative, so one cut by max_degree at the end truncates as a cut at
+    # every step would.
     h, r = mat[::-1], len(mat)
     if h != [list(col) for col in zip(*h)] or any(
             e.max_degree != max_degree for row in mat for e in row):
         raise ValueError("_det takes a persymmetric matrix whose entries carry max_degree")
-    distinct = dict.fromkeys(e for row in mat for e in row)
-    degree = {e: max(map(mono_degree, e.terms), default=0) for e in distinct}
-    top = sum(max(degree[e] for e in row) for row in mat)
-    pk = Packing((g for e in distinct for m in e.terms for g, _ in m), top)
-    codes = {e: [pk.pack(m) for m in e.terms] for e in distinct}
-    code = [[codes[e] for e in row] for row in h]
     full = (1 << r) - 1
-    haf: list = [{0}] + [None] * full
+    haf: list = [{ONE_MONO}] + [None] * full
     for s in range(1, full + 1):
         if s.bit_count() % 2 == 0:
             i = (s & -s).bit_length() - 1
             haf[s] = set()
             for j in range(i + 1, r):
                 if s >> j & 1:
-                    _add_product(haf[s], code[i][j], haf[s ^ 1 << i ^ 1 << j])
-    diag: list = [{0}] + [None] * full
+                    add_product(haf[s], h[i][j].terms, haf[s ^ 1 << i ^ 1 << j])
+    diag: list = [{ONE_MONO}] + [None] * full
     acc: set = set()
     for f in range(full + 1):
         if f:
             i = f.bit_length() - 1
-            diag[f] = _add_product(set(), code[i][i], diag[f ^ 1 << i])
+            diag[f] = add_product(set(), h[i][i].terms, diag[f ^ 1 << i])
         if (r - f.bit_count()) % 2 == 0:
-            _add_product(acc, diag[f], [2 * y for y in haf[full ^ f]])
+            add_product(acc, diag[f], [mono_mul(y, y) for y in haf[full ^ f]])
     if max_degree is not None:
-        limit = pk.limit(max_degree)
-        acc = {x for x in acc if x < limit}
-    return GF2Poly(frozenset(map(pk.unpack, acc)), max_degree)
+        acc = {x for x in acc if mono_degree(x) <= max_degree}
+    return GF2Poly(frozenset(acc), max_degree)
 
 
 # The determinant visits 2^r fixed-point sets and the hafnians of their
@@ -248,22 +233,19 @@ def verify_prim_coincidence(r: int, k: int,
     return report
 
 
-def verify_twisted_coincidence(k: int, max_degree: Optional[int] = None,
-                               r: int = 2) -> Report:
+def verify_twisted_coincidence(k: int, max_degree: Optional[int] = None) -> Report:
     """Doubled integral classes of the two constructions agree when the
-    kernel line extends over the source; stated (and implemented) for r=2.
+    kernel line extends over the source; stated (and implemented) for r=2,
+    which the report's params record.
 
     Doubling kills torsion, so the assertion is equality of rational parts;
     the mod-2 comparison under the twisted rewriting is recorded in the
     artifacts without being asserted.
     """
-    if r != 2:
-        raise ValueError("unsupported: integral corank-r comparison is "
-                         "available for r=2 only")
     if k < 1 or k % 2 == 0:
         raise ValueError("need odd k >= 1")
     d = verifier_bound(max_degree, default_degree(k), 2 * k + 2)
-    report = Report("verify twisted", {"k": k, "r": r, "max_degree": d})
+    report = Report("verify twisted", {"k": k, "r": 2, "max_degree": d})
     mor = morin_tp_integral(2, k)
     cor = sigma2_integral(k)
     report.check_equal("doubled classes agree", mor.scale(2), cor.scale(2))

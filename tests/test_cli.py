@@ -265,6 +265,40 @@ def test_total_sw_cost_guard_applies_with_a_degree_bound(runner, monkeypatch):
     assert isinstance(res.exception, AssertionError)
 
 
+@pytest.mark.parametrize("args", [
+    ["--regime", "twisted", "--k", "-1"],
+    ["--regime", "nu1", "--k", "-3", "--max-deg", "6"],
+    ["--regime", "prim", "--k", "-1"],
+    ["--regime", "twisted", "--k", "2", "--tag", "1x"],
+    ["--tag", "1x"],
+    ["--tag", ""],
+])
+def test_total_sw_refuses_bad_regime_parameters(runner, monkeypatch, args):
+    # refused as usage errors before any work, not crashed on or printed
+    def no_total(tree, max_degree=None):
+        raise AssertionError("total_sw must not run")
+
+    monkeypatch.setattr(bundles, "total_sw", no_total)
+    res = runner.invoke(cli.tpcalc, ["total-sw", "nu_f"] + args)
+    assert res.exit_code == 2, res.output
+    assert "must be" in res.output
+
+
+def test_regimes_refuse_a_negative_k():
+    for make in (lambda k: bundles.Prim(k), lambda k: bundles.TwistedPrim(k, "t"),
+                 lambda k: bundles.MorinNu1(k)):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            make(-1)
+        assert make(0).k == 0
+
+
+def test_total_sw_regime_at_k_0_runs(runner):
+    res = runner.invoke(cli.tpcalc, ["total-sw", "nu_f", "--regime", "twisted", "--k", "0",
+                                     "--tag", "u", "--max-deg", "3"])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[1] == "1 + w1 + w1*t:u + w1*t:u^2"
+
+
 @pytest.mark.parametrize("bound", ["-1", "7"])
 def test_morin_integral_checks_the_degree_bound(runner, bound):
     args = ["morin", "--r", "2", "--k", "3", "--integral"]
@@ -391,6 +425,16 @@ def test_suite_single_section_json(runner):
 def test_suite_unknown_section(runner):
     res = runner.invoke(cli.tpcalc, ["suite", "--sections", "nosuch"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("sections", [",", " , ,", ""])
+def test_suite_refuses_an_empty_selection(runner, sections):
+    # a run that checks nothing is not a pass
+    res = runner.invoke(cli.tpcalc, ["suite", "--sections", sections])
+    assert res.exit_code == 2
+    assert "no suite section selected" in res.output
+    with pytest.raises(ValueError, match="no suite section selected"):
+        run_suite([])
 
 
 def test_suite_failure_exit(runner, monkeypatch):
@@ -520,6 +564,21 @@ def test_scan_sigma2_report_file(runner, tmp_path):
         "0": {"0": 56, "1": 24, "2": 1}, "1": {"0": 66, "1": 15}}
     assert payload["artifacts"]["family_corank2_points"] == [
         ["0", "0", "0", "0", "0"]]
+
+
+@pytest.mark.parametrize("where", ["missing/scan.json", "."])
+def test_scan_sigma2_report_to_a_bad_path_is_refused(runner, tmp_path, monkeypatch, where):
+    # a file in a missing directory, or a directory, is a usage error, and
+    # it is refused before the scan
+    def no_scan(*args):
+        raise AssertionError("the scan must not run")
+
+    monkeypatch.setattr(germs, "stratify_grid", no_scan)
+    res = runner.invoke(cli.germlab, ["scan-sigma2", "--n", "4", "--k", "1", "--grid", "0,1",
+                                      "--report", str(tmp_path / where)])
+    assert res.exit_code == 2, res.output
+    assert "--report" in res.output
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_deterministic_output(runner):

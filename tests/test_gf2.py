@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singcalc.bundles import parse_bundle_expr, total_sw
-from singcalc.gf2 import (GF2Poly, Packing, _bound_min, gen_degree, gen_name, gen_sort_key,
+from singcalc.gf2 import (GF2Poly, _bound_min, gen_degree, gen_name, gen_sort_key,
                           inverse_total, linegen, mono, mono_degree, mono_mul, parse_gen,
                           poly_from_json, poly_to_json, split, split_above, sq1,
                           sq1_preimage, wgen, wpoly)
@@ -86,54 +86,6 @@ def test_generator_names_roundtrip():
 @given(polys)
 def test_json_roundtrip(a):
     assert poly_from_json(poly_to_json(a)) == a
-
-
-# packed monomials -------------------------------------------------------------
-
-@given(monomials, monomials, st.integers(-1, 20))
-def test_packing_products_and_degree_cut(m1, m2, d):
-    top = mono_degree(m1) + mono_degree(m2)
-    pk = Packing([g for g, _ in m1 + m2], top)
-    x1, x2 = pk.pack(m1), pk.pack(m2)
-    assert pk.unpack(x1) == m1 and pk.unpack(x2) == m2
-    assert pk.unpack(x1 + x2) == mono_mul(m1, m2)
-    assert (x1 + x2 < pk.limit(d)) == (top <= d)
-
-
-# generators of several indices and families, and line classes
-_PACK_GENS = st.one_of(st.builds(wgen, st.integers(1, 40), st.sampled_from(["", "E", "TM"])),
-                       st.builds(linegen, st.sampled_from(["t", "u"])))
-
-
-@st.composite
-def _packings(draw):
-    # a bound, its generators, and two monomials in them whose product has
-    # degree <= bound
-    bound = draw(st.integers(0, 200))
-    gens = draw(st.lists(_PACK_GENS, min_size=1, max_size=6, unique=True))
-
-    def within(room):
-        pairs = []
-        for g in draw(st.permutations(gens)):
-            e = draw(st.integers(0, room // gen_degree(g)))
-            pairs.append((g, e))
-            room -= e * gen_degree(g)
-        return mono(pairs)
-
-    m1 = within(bound)
-    return bound, gens, m1, within(bound - mono_degree(m1))
-
-
-@given(_packings())
-def test_packing_holds_every_monomial_within_its_bound(case):
-    # each field is just wide enough for its generator's largest exponent
-    bound, gens, m1, m2 = case
-    pk = Packing(gens, bound)
-    product = mono_mul(m1, m2)
-    largest = [((g, bound // gen_degree(g)),) for g in gens if gen_degree(g) <= bound]
-    for m in [m1, m2, product] + largest:
-        assert pk.unpack(pk.pack(m)) == m
-    assert pk.pack(m1) + pk.pack(m2) == pk.pack(product)
 
 
 # the merge kernel against mono() -------------------------------------------
@@ -266,17 +218,18 @@ def test_sorted_terms_on_a_large_class():
 
 
 def test_kernel_builds_no_sort_keys(monkeypatch):
-    # sq1 and products edit and merge generator tuples; sort keys are for
-    # mono(), Packing and printing
-    p = gtp(6, 1)
+    # sq1, products, the determinant and inverse_total edit and merge
+    # generator tuples; sort keys are for mono() and printing
+    tm = tm_total(8, 12)
     tree = parse_bundle_expr("tensor(t, nu_f) + line(u) + TM", {"nu_f": 3, "TM": 4})
     a = total_sw(tree, 8)[1]
     b = total_sw(parse_bundle_expr("tensor(u, F) + E", {"F": 2, "E": 3}), 8)[1]
     calls = []
     real = gf2.gen_sort_key
     monkeypatch.setattr(gf2, "gen_sort_key", lambda g: calls.append(g) or real(g))
-    sq1(p)
+    sq1(gtp(6, 1))
     sq1(a * b)
+    inverse_total(tm, 12)
     assert calls == []
     str(a)
     assert calls, "the spy sees the calls printing makes"

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from singcalc.bundles import (LineBundle, MorinNu1, Named, Sum, TwistedPrim, apply_regime,
                               tensor_line, total_sw)
-from singcalc.gf2 import GF2Poly, Packing, linegen, mono, mono_degree, wgen, wpoly
+from singcalc.gf2 import (GF2Poly, gen_degree, gen_sort_key, linegen, mono, mono_degree, wgen,
+                          wpoly)
 from singcalc.integral import IntPoly, v_class
 from singcalc.reports import FAIL, PASS, SKIPPED
 from singcalc.thom import (default_degree, gtp, gtp_matrix, morin_tp,
@@ -51,15 +52,43 @@ def _laplace(mat, d):
     return minor((1 << r) - 1)
 
 
+class _Packing:
+    # a monomial as one int (packed exponent vectors, Monagan and Pearce, CASC
+    # 2007): generator g owns a field of (bound // deg g).bit_length() bits,
+    # in gen_sort_key order from the least significant end, and the total
+    # degree sits in the unbounded top field. While every monomial formed has
+    # degree <= bound no field overflows, so a product is one addition and
+    # "degree <= d" is one compare.
+
+    def __init__(self, gens, bound):
+        self.fields, shift = [], 0  # (generator, shift, mask)
+        for g in sorted(set(gens), key=gen_sort_key):
+            width = max(1, (bound // gen_degree(g)).bit_length())
+            self.fields.append((g, shift, (1 << width) - 1))
+            shift += width
+        self.top = shift
+        self.unit = {g: (1 << s) + (gen_degree(g) << shift) for g, s, _ in self.fields}
+
+    def pack(self, m):
+        return sum(self.unit[g] * e for g, e in m)
+
+    def unpack(self, x):
+        return tuple([(g, e) for g, s, mask in self.fields if (e := x >> s & mask)])
+
+    def limit(self, d):
+        return max(d + 1, 0) << self.top
+
+
 def _column_set_det(mat, max_degree):
     # the packed Laplace expansion along the rows, one bottom-up pass over
     # the column sets: level c forms the minor of every column set of size c
-    # (on the bottom c rows) from level c-1; no symmetry is used
+    # (on the bottom c rows) from level c-1; no symmetry is used, and the
+    # monomials are the test's own packed ints, not gf2's tuples
     r = len(mat)
     distinct = dict.fromkeys(e for row in mat for e in row)
     degree = {e: max(map(mono_degree, e.terms), default=0) for e in distinct}
     top = sum(max(degree[e] for e in row) for row in mat)
-    pk = Packing((g for e in distinct for m in e.terms for g, _ in m), top)
+    pk = _Packing((g for e in distinct for m in e.terms for g, _ in m), top)
     codes = {e: [pk.pack(m) for m in e.terms] for e in distinct}
     packed = [[codes[e] for e in row] for row in mat]
     bounds = [[inf if e.max_degree is None else e.max_degree for e in row] for row in mat]
@@ -109,7 +138,7 @@ def test_gtp_matches_the_column_set_expansion(r, l):
 @pytest.mark.parametrize("r", range(1, 9))
 @pytest.mark.parametrize("l", [0, 1, 3, 99_999])
 def test_gtp_matches_plain_laplace(r, l):
-    # at l = 99 999 no exponent exceeds r, so each packed field is a few bits
+    # l = 99 999: generators of a large index, each exponent at most r
     deg = r * (l + r)
     for d in (None, deg, deg - 1, 10):
         got = gtp(r, l, d)
@@ -163,8 +192,8 @@ def test_det_refuses_a_matrix_outside_its_contract():
 
 
 def test_gtp_reads_wpoly_at_call_time(monkeypatch):
-    # the packed determinant keeps no cache across calls: a patched entry
-    # source must show in the very next result
+    # the determinant keeps no cache across calls: a patched entry source
+    # must show in the very next result
     before = gtp(2, 2)
     monkeypatch.setattr(thom, "wpoly",
                         lambda i, bundle="", max_degree=None: wpoly(i + 1, bundle, max_degree))
@@ -289,8 +318,6 @@ def test_twisted_verifier():
     assert verify_twisted_coincidence(3).status == PASS
     with pytest.raises(ValueError):
         verify_twisted_coincidence(2)
-    with pytest.raises(ValueError):
-        verify_twisted_coincidence(3, r=3)
 
 
 def test_morin_derivation_verifier():
