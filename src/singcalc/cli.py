@@ -29,7 +29,7 @@ from fractions import Fraction
 import click
 
 from . import bundles, germs, thom
-from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, parse_bundle_expr
+from .bundles import Prim, TwistedPrim, apply_regime, parse_bundle_expr
 from .gf2 import poly_to_json
 from .integral import iclass_to_json
 from .jets import jacobian_ad
@@ -179,8 +179,8 @@ def total_sw_cmd(expr, rank_specs, regime, k, tag, max_deg, as_json):
     if regime != "none":
         if k is None:
             raise click.UsageError(f"--regime {regime} needs --k")
-        args = (k,) if regime == "prim" else (k, tag)
-        reg = _run({"prim": Prim, "twisted": TwistedPrim, "nu1": MorinNu1}[regime], *args)
+        # nu1 is MorinNu1, another name for the twisted rewriting
+        reg = _run(Prim, k) if regime == "prim" else _run(TwistedPrim, k, tag)
     tree = _run(parse_bundle_expr, expr, ranks)
     _run(bundles.check_total_sw_cost, tree, d)
     rank, total = _run(bundles.total_sw, tree, d)
