@@ -13,9 +13,10 @@ naively simplified one in the X_{2i} and X_{2k+1} slots (denominators
 1+z^2+z^4 vs 1+z^2, and a z^2 vs z^3 numerator); the oracle equality tests
 pin the version that actually is orthogonal to im df.
 
-Everything is exact. The germ, its Jacobians and the rank work are Fraction
-arithmetic; sigma_oracle works on integers cleared of denominators and
-divides once, at the end. Rank decisions never see a float.
+Everything is exact. The germ maps are Fraction arithmetic, and the rank
+work is fraction-free elimination on integer rows (linalg). jacobian_tilde_f
+and sigma_oracle work on integer numerators and denominators and build each
+entry as one Fraction, at the end. Rank decisions never see a float.
 """
 
 from __future__ import annotations
@@ -245,7 +246,13 @@ def tilde_f(n: int, k: int, p: GermPoint) -> Vec:
 def jacobian_tilde_f(n: int, k: int, p: GermPoint,
                      t=None) -> List[List[Fraction]]:
     """d tilde_f as an (n+k) x (n+1) matrix of exact rationals, from the
-    hand-differentiated entries; the dual-number oracle reproduces it."""
+    hand-differentiated entries; the dual-number oracle reproduces it.
+
+    With z = a/b and t = c/d, every entry is an integer numerator over an
+    integer denominator built from Q1 = a^2+b^2 (q1 = Q1/b^2) and
+    Q2 = b^4+a^2b^2+a^4 (q2 = Q2/b^4); the x, y coordinates come in as
+    numerator/denominator pairs. Each computed entry is one
+    Fraction(num, den), which reduces it once; no Fraction arithmetic runs."""
     _check_point(n, k, p)
     if t is None:
         t = p.t
@@ -254,49 +261,92 @@ def jacobian_tilde_f(n: int, k: int, p: GermPoint,
     if not isinstance(t, Fraction):
         t = Fraction(t)
     z = p.z
-    y = p.y
+    a, b = z.numerator, z.denominator
+    c, d = t.numerator, t.denominator
     ncols = n + 1
     col_y, col_z, col_t = 2 * k, 2 * k + 1, n
     zero, one = Fraction(0), Fraction(1)
 
-    # point-wide coefficients; the rows of block i scale them by x_{2i}
-    z2 = z * z
-    z4 = z2 * z2
-    q1 = one + z2
-    q2 = one + z2 + z4
-    q2sq = q2 * q2
-    odd_e = -2 * t * z / q2
-    odd_z = -2 * t * (1 - z2 - 3 * z4) / q2sq
-    odd_t = -2 * z / q2
-    even_e = 1 - 2 * t * z2 / q2
-    even_z = -4 * t * z * (1 - z4) / q2sq
-    even_t = -2 * z2 / q2
-    y_e = z2 + 2 * t / q2
-    y_z = 2 * z - 2 * t * (2 * z + 4 * z * z2) / q2sq
-    y_t = 2 / q2
+    aa, bb = a * a, b * b
+    a4, b4 = aa * aa, bb * bb
+    ab3, aabb = a * bb * b, aa * bb
+    Q1 = aa + bb
+    Q2 = b4 + aabb + a4
+    dQ2 = d * Q2
+    dQ2sq = dQ2 * Q2
+    dQ1sq = d * Q1 * Q1
 
-    def row(entries: dict) -> List[Fraction]:
-        r = [zero] * ncols
-        for idx, val in entries.items():
-            r[idx] = val if isinstance(val, Fraction) else Fraction(val)
-        return r
+    # point-wide coefficients: a Fraction, or an integer numerator over the
+    # denominator its comment names; the rows of block i scale the *_z and
+    # *_t ones by x_{2i}
+    # odd_e = -2 t z / q2
+    odd_e = Fraction(-2 * c * ab3, dQ2)
+    # odd_z = -2 t (1 - z^2 - 3 z^4) / q2^2, over dQ2sq
+    odd_z = -2 * c * (b4 - aabb - 3 * a4) * b4
+    # odd_t = -2 z / q2, over Q2
+    odd_t = -2 * ab3
+    # even_e = 1 - 2 t z^2 / q2
+    even_e = Fraction(dQ2 - 2 * c * aabb, dQ2)
+    # even_z = -4 t z (1 - z^4) / q2^2, over dQ2sq
+    even_z = -4 * c * ab3 * (b4 - a4)
+    # even_t = -2 z^2 / q2, over Q2
+    even_t = -2 * aabb
+    # y_e = z^2 + 2 t / q2
+    y_e = Fraction(aa * dQ2 + 2 * c * b4 * bb, bb * dQ2)
+    # y_z = 2 z - 2 t (2 z + 4 z^3) / q2^2, over b dQ2sq
+    y_z = 2 * a * (dQ2sq - 2 * c * (bb + 2 * aa) * b4 * bb)
+    den_yz = b * dQ2sq
+    # y_t = 2 / q2, over Q2
+    y_t = 2 * b4
 
     rows = []
     for i in range(1, k + 1):
         co, ce = 2 * i - 2, 2 * i - 1
         xe = p.x[ce]
-        rows.append(row({co: one, ce: odd_e, col_z: odd_z * xe, col_t: odd_t * xe}))
-        rows.append(row({ce: even_e, col_z: even_z * xe, col_t: even_t * xe}))
-    rows.append(row({col_y: one, col_z: -12 * t * z / (q1 * q1),
-                     col_t: -6 * z2 / q1}))
+        en, ed = xe.numerator, xe.denominator
+        r = [zero] * ncols
+        r[co] = one
+        r[ce] = odd_e
+        r[col_z] = Fraction(odd_z * en, dQ2sq * ed)
+        r[col_t] = Fraction(odd_t * en, Q2 * ed)
+        rows.append(r)
+        r = [zero] * ncols
+        r[ce] = even_e
+        r[col_z] = Fraction(even_z * en, dQ2sq * ed)
+        r[col_t] = Fraction(even_t * en, Q2 * ed)
+        rows.append(r)
+    r = [zero] * ncols
+    r[col_y] = one
+    # -12 t z / q1^2 and -6 z^2 / q1
+    r[col_z] = Fraction(-12 * c * ab3, dQ1sq)
+    r[col_t] = Fraction(-6 * aa, Q1)
+    rows.append(r)
     for i in range(1, k + 1):
         co, ce = 2 * i - 2, 2 * i - 1
         xo, xe = p.x[co], p.x[ce]
-        rows.append(row({co: z, ce: y_e, col_z: xo + y_z * xe, col_t: y_t * xe}))
-    rows.append(row({col_y: z, col_z: y + 3 * z2 + 6 * t * (1 - z2) / (q1 * q1),
-                     col_t: 6 * z / q1}))
+        on, od = xo.numerator, xo.denominator
+        en, ed = xe.numerator, xe.denominator
+        r = [zero] * ncols
+        r[co] = z
+        r[ce] = y_e
+        # x_{2i-1} + y_z x_{2i} and y_t x_{2i}
+        r[col_z] = Fraction(on * den_yz * ed + y_z * en * od, od * den_yz * ed)
+        r[col_t] = Fraction(y_t * en, Q2 * ed)
+        rows.append(r)
+    # y + 3 z^2 + 6 t (1 - z^2) / q1^2, the last two terms over bb dQ1sq,
+    # and 6 z / q1
+    yn, yd = p.y.numerator, p.y.denominator
+    num_zz = 3 * aa * dQ1sq + 6 * c * (bb - aa) * b4
+    den_zz = bb * dQ1sq
+    r = [zero] * ncols
+    r[col_y] = z
+    r[col_z] = Fraction(yn * den_zz + num_zz * yd, yd * den_zz)
+    r[col_t] = Fraction(6 * a * b, Q1)
+    rows.append(r)
     for i in range(n - 2 * k - 2):
-        rows.append(row({2 * k + 2 + i: one}))
+        r = [zero] * ncols
+        r[2 * k + 2 + i] = one
+        rows.append(r)
     return rows
 
 
@@ -354,10 +404,10 @@ def corank(matrix: Sequence[Sequence]) -> JetReport:
 
 # stratification ------------------------------------------------------------
 
-# Rank-only stratification costs 0.4-1.3 ms per grid point at (n,k) = (4,1)
-# to (10,4) on a 2-core machine, so a scan at the bound takes 8-26 s. Past
-# n = 20 a point costs about (n/20)^3 of those (9 ms at n = 40, 60 ms at 80,
-# 2.5 s at 300, 18 s at 600), so it counts that many times.
+# Rank-only stratification costs 0.06-0.26 ms per grid point at (n,k) =
+# (4,1) to (10,4) on a 2-core machine, so a scan at the bound takes 1-5 s.
+# Past n = 20 a point's rank work grows about as (n/20)^3 (6-7 ms at n = 40,
+# 33 ms at 80, 1.2-1.3 s at 300, 7 s at 542), so it counts that many times.
 STRATIFY_MAX_POINTS = 20_000
 
 
@@ -371,6 +421,12 @@ def stratify_grid(n: int, k: int, grid: Sequence,
     vals = [Fraction(g) for g in grid]
     if not vals:
         raise ValueError("empty grid")
+    seen = set()
+    for v in vals:
+        if v in seen:
+            raise ValueError(f"grid value {v} is repeated; a product grid scans "
+                             f"each point once, so each value must appear once")
+        seen.add(v)
     passes = 1 + len(t_values or ())
     weight = max(1, n ** 3 // 8000)
     # past bit_length(bound) factors of at least 2 the power is over the

@@ -264,10 +264,10 @@ def add_fd_check(rep: Report, n: int, k: int, p: germs.GermPoint, hand) -> None:
 def _sec_germ_jacobian(d):
     rng = random.Random(SEED + 1)
     rep = Report("suite.germ-jacobian",
-                 {"shapes": "(4,1) (6,2)", "points_per_shape": 25})
+                 {"shapes": "(4,1) (6,2) (8,3) (10,4)", "points_per_shape": 25})
     ad_bad = []
     tcol_bad = []
-    for n, k in ((4, 1), (6, 2)):
+    for n, k in ((4, 1), (6, 2), (8, 3), (10, 4)):
         fn = (lambda n, k: lambda c: germs._tilde_f_coords(n, k, c))(n, k)
         for _ in range(25):
             coords = [_rfrac(rng) for _ in range(n)]
@@ -281,7 +281,7 @@ def _sec_germ_jacobian(d):
                 tcol_bad.append({"n": n, "k": k,
                                  "point": [str(c) for c in coords], "t": str(t)})
     rep.add("closed-form Jacobian equals the dual-number oracle",
-            PASS if not ad_bad else FAIL, "50 random rational points",
+            PASS if not ad_bad else FAIL, "100 random rational points",
             witnesses=ad_bad or None)
     rep.add("t-column of the Jacobian is sigma",
             PASS if not tcol_bad else FAIL, witnesses=tcol_bad or None)

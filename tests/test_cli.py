@@ -551,6 +551,19 @@ def test_stratify_cost_guard_refuses_before_any_work(runner, monkeypatch):
     assert bound in res.output
 
 
+@pytest.mark.parametrize("cmd", ["stratify", "scan-sigma2"])
+@pytest.mark.parametrize("grid", ["0,0,1", "0,0/2,1"])
+def test_stratify_refuses_repeated_grid_values(runner, monkeypatch, cmd, grid):
+    # 0,0,1 spans 16 distinct points, not 81; the refusal comes before any work
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan must not start")
+
+    monkeypatch.setattr(germs, "jacobian_f", no_scan)
+    res = runner.invoke(cli.germlab, [cmd, "--n", "4", "--k", "1", "--grid", grid])
+    assert res.exit_code == 2, res.output
+    assert "grid value 0 is repeated" in res.output
+
+
 def test_scan_sigma2_report_file(runner, tmp_path):
     out = tmp_path / "scan.json"
     res = runner.invoke(cli.germlab, ["scan-sigma2", "--n", "4", "--k", "1",

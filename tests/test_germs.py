@@ -253,6 +253,139 @@ def test_jacobian_hand_matches_ad():
             assert hand == ad
 
 
+def _fraction_jacobian_tilde_f(n, k, p, t=None):
+    """d tilde_f from the hand-differentiated entries in Fraction
+    arithmetic, as jacobian_tilde_f was before it went to integer
+    numerators."""
+    if t is None:
+        t = p.t
+    t = Fraction(t)
+    z = p.z
+    y = p.y
+    ncols = n + 1
+    col_y, col_z, col_t = 2 * k, 2 * k + 1, n
+    zero, one = Fraction(0), Fraction(1)
+
+    z2 = z * z
+    z4 = z2 * z2
+    q1 = one + z2
+    q2 = one + z2 + z4
+    q2sq = q2 * q2
+    odd_e = -2 * t * z / q2
+    odd_z = -2 * t * (1 - z2 - 3 * z4) / q2sq
+    odd_t = -2 * z / q2
+    even_e = 1 - 2 * t * z2 / q2
+    even_z = -4 * t * z * (1 - z4) / q2sq
+    even_t = -2 * z2 / q2
+    y_e = z2 + 2 * t / q2
+    y_z = 2 * z - 2 * t * (2 * z + 4 * z * z2) / q2sq
+    y_t = 2 / q2
+
+    def row(entries):
+        r = [zero] * ncols
+        for idx, val in entries.items():
+            r[idx] = Fraction(val)
+        return r
+
+    rows = []
+    for i in range(1, k + 1):
+        co, ce = 2 * i - 2, 2 * i - 1
+        xe = p.x[ce]
+        rows.append(row({co: one, ce: odd_e, col_z: odd_z * xe, col_t: odd_t * xe}))
+        rows.append(row({ce: even_e, col_z: even_z * xe, col_t: even_t * xe}))
+    rows.append(row({col_y: one, col_z: -12 * t * z / (q1 * q1),
+                     col_t: -6 * z2 / q1}))
+    for i in range(1, k + 1):
+        co, ce = 2 * i - 2, 2 * i - 1
+        xo, xe = p.x[co], p.x[ce]
+        rows.append(row({co: z, ce: y_e, col_z: xo + y_z * xe, col_t: y_t * xe}))
+    rows.append(row({col_y: z, col_z: y + 3 * z2 + 6 * t * (1 - z2) / (q1 * q1),
+                     col_t: 6 * z / q1}))
+    for i in range(n - 2 * k - 2):
+        rows.append(row({2 * k + 2 + i: one}))
+    return rows
+
+
+def _assert_same_matrix(got, ref):
+    assert got == ref
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def _special_points(rng, n, k):
+    # z = 0, x = 0, t = 0 and a negative z over a denominator > 1, each with
+    # the other coordinates random
+    base = [_rfrac(rng) for _ in range(n)]
+    zero_x = [Fraction(0)] * (2 * k) + base[2 * k:]
+    zero_z = base[:2 * k + 1] + [Fraction(0)] + base[2 * k + 2:]
+    neg_z = base[:2 * k + 1] + [Fraction(-5, 3)] + base[2 * k + 2:]
+    return [(zero_z, _rfrac(rng)), (zero_x, _rfrac(rng)), (base, Fraction(0)),
+            (neg_z, Fraction(7, 4)), ([Fraction(0)] * n, Fraction(0))]
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (5, 1), (6, 2), (8, 3), (10, 4)])
+def test_jacobian_matches_the_fraction_reference(n, k):
+    rng = random.Random(17 * n + k)
+    cases = [([_rfrac(rng) for _ in range(n)], _rfrac(rng)) for _ in range(40)]
+    cases += _special_points(rng, n, k)
+    assert any(c[2 * k + 1] < 0 and c[2 * k + 1].denominator > 1 for c, _ in cases)
+    for coords, t in cases:
+        p = GermPoint.make(n, k, coords, t=t)
+        _assert_same_matrix(jacobian_tilde_f(n, k, p), _fraction_jacobian_tilde_f(n, k, p))
+        # t passed as an argument overrides the point's
+        other = t + Fraction(1, 3)
+        _assert_same_matrix(jacobian_tilde_f(n, k, p, t=other),
+                            _fraction_jacobian_tilde_f(n, k, p, t=other))
+        # and jacobian_f is the t = 0 family without its t-column
+        assert jacobian_f(n, k, p) == [row[:-1] for row in
+                                      _fraction_jacobian_tilde_f(n, k, p, t=0)]
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (8, 3)])
+def test_jacobian_of_int_points_matches_the_fraction_reference(n, k):
+    rng = random.Random(31 * n + k)
+    for _ in range(10):
+        coords = [rng.randint(-4, 4) for _ in range(n)]
+        t = rng.randint(-3, 3)
+        direct = GermPoint(tuple(coords[:2 * k]), coords[2 * k], coords[2 * k + 1],
+                           tuple(coords[2 * k + 2:]), t)
+        ref = _fraction_jacobian_tilde_f(n, k, direct)
+        _assert_same_matrix(jacobian_tilde_f(n, k, direct), ref)
+        # an int t as the argument, with the point's t left unset
+        made = GermPoint.make(n, k, coords)
+        _assert_same_matrix(jacobian_tilde_f(n, k, made, t=t), ref)
+        _assert_same_matrix(jacobian_tilde_f(n, k, made, t=0),
+                            _fraction_jacobian_tilde_f(n, k, made, t=0))
+
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                       "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                       "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pow__",
+                       "__rpow__", "__neg__", "__pos__", "__abs__")
+
+
+def test_jacobian_does_no_fraction_arithmetic(monkeypatch):
+    # every entry is one Fraction(num, den) built from integer numerators and
+    # denominators; no Fraction operator runs, forward or reflected
+    points = [(8, 3, GermPoint.make(8, 3, [Fraction(-1, 2), 3, 0, Fraction(5, 4), -2,
+                                           Fraction(2, 3), Fraction(-3, 5), 1])),
+              (4, 1, GermPoint.make(4, 1, [Fraction(1, 4), Fraction(-1, 2),
+                                           Fraction(1, 8), Fraction(3, 4)]))]
+    t = Fraction(-7, 3)
+    calls = []
+
+    def spy(name):
+        real = getattr(Fraction, name)
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, spy(name))
+    for n, k, p in points:
+        jacobian_tilde_f(n, k, p, t=t)
+    assert calls == []
+    _fraction_jacobian_tilde_f(4, 1, points[1][2], t=t)
+    assert calls, "the spy sees the Fraction reference's arithmetic"
+
+
 def test_jacobian_t_column_is_sigma():
     # the perturbation column equals the characteristic direction when the
     # point sits on the locus
@@ -314,6 +447,29 @@ def test_stratify_grid_matches_closed_form():
 def test_stratify_grid_rejects_empty_grid():
     with pytest.raises(ValueError, match="empty grid"):
         stratify_grid(4, 1, [])
+
+
+def test_stratify_grid_refuses_repeated_values(monkeypatch):
+    # the grid values are compared as Fractions, so 0 and "0/2" repeat; the
+    # refusal comes before any Jacobian is built
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan must not start")
+
+    monkeypatch.setattr(germs, "jacobian_f", no_scan)
+    monkeypatch.setattr(germs, "jacobian_tilde_f", no_scan)
+    for grid, value in (([0, 0, 1], "0"), ([0, "0/2", 1], "0"),
+                        ([Fraction(1, 2), -1, "2/4"], "1/2")):
+        with pytest.raises(ValueError, match=f"grid value {value} is repeated"):
+            stratify_grid(4, 1, grid, t_values=[0])
+
+
+def test_stratify_grid_keeps_repeated_t_values():
+    # a repeated t is scanned again: its profile entry is the same and its
+    # corank-2 points are listed once per occurrence
+    once = stratify_grid(4, 1, [-1, 0, 1], t_values=[0])
+    twice = stratify_grid(4, 1, [-1, 0, 1], t_values=[0, "0/3"])
+    assert twice.artifacts["family_corank_profile"] == once.artifacts["family_corank_profile"]
+    assert twice.artifacts["family_corank2_points"] == 2 * once.artifacts["family_corank2_points"]
 
 
 def test_stratify_grid_family_profile():

@@ -56,8 +56,8 @@ EXPECTED = {
     "gtp": (0, "4fe651a24b021459"),
     "morin": (0, "4fe651a24b021459"),
     "morin-integral": (0, "621bcc9a1ff885c6"),
-    "suite": (0, "b7d9f42c3cec6c57"),
-    "suite-json": (0, "f2f76b6a77531b41"),
+    "suite": (0, "454182e91839af3e"),
+    "suite-json": (0, "6614ca664eeeb4ae"),
     "suite-sections-json": (0, "1f00d97daf73402a"),
     "total-sw": (0, "fc4c1ded3f8efcbd"),
     "verify-convention-help": (0, "e6fe84642b277582"),

@@ -3,7 +3,8 @@ the CLI's degree-bound resolver reads the environment, the CLI defines no
 cost bound of its own, only gf2 knows how a monomial is laid out, no
 homogeneous_part call sits in a loop or comprehension (GF2Poly.graded()
 splits a class by degree in one pass), the GF(2) kernel modules keep no
-cache, and no float reaches the exact rank decisions."""
+cache, no float reaches the exact rank decisions, and the family Jacobian,
+whose entries are built from integers, does no true division."""
 
 import ast
 import re
@@ -236,3 +237,30 @@ def test_rank_modules_use_no_float(name):
 def test_float_check_sees_floats():
     source = "a = float(x)\nb = 1 / 2\nc = 0.5\nd = 1e-9\ne = 2j\nf = int('3')\n"
     assert [line for line, _ in _floats(ast.parse(source))] == [1, 3, 4, 5]
+
+
+# The family Jacobian builds every entry as Fraction(num, den) from integer
+# numerators and denominators; an int / int there would give a float, which
+# the float check does not see.
+def _true_divisions(tree: ast.Module, func: str) -> list:
+    """Lines of the / and /= inside the function func; None if there is none."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == func:
+            return sorted(n.lineno for n in ast.walk(node)
+                          if isinstance(n, (ast.BinOp, ast.AugAssign))
+                          and isinstance(n.op, ast.Div))
+    return None
+
+
+def test_family_jacobian_does_no_true_division():
+    tree = ast.parse((SRC / "germs.py").read_text())
+    assert _true_divisions(tree, "jacobian_tilde_f") == []
+
+
+def test_division_check_sees_planted_cases():
+    source = ("q = a / b\ndef jacobian_tilde_f(a, b):\n    c = a // b\n    d = a / b\n"
+              "    def inner(x):\n        return x / 2\n    c /= 2\n"
+              "    return Fraction(a, b)\ndef other(a):\n    return a / 2\n")
+    tree = ast.parse(source)
+    assert _true_divisions(tree, "jacobian_tilde_f") == [4, 6, 7]
+    assert _true_divisions(tree, "missing") is None
