@@ -171,13 +171,17 @@ def _total_sw(expr: BundleExpr, max_degree: Optional[int]) -> tuple:
 COUNT_MAX_CELLS = 1_000_000
 
 
-def _monomials_up_to(tops: dict, tags: frozenset, e: int) -> int:
-    """Monomials of degree <= e in w_1..w_top of each bundle (name -> top)
-    and the line classes of the tags: a coin-change count over the
-    generators' degrees."""
+def _monomials_up_to(factors, e: int) -> int:
+    """Monomials of degree <= e in generators given as (degree, cap) pairs,
+    each with exponent at most cap (any, for None): the coefficient sum, up
+    to z^e, of the product of 1 + z^g + ... + z^(cap g) = (1 - z^((cap+1) g))
+    / (1 - z^g) over the generators, a coin-change count."""
     count = [1] + [0] * e
-    degrees = [g for top in tops.values() for g in range(1, min(top, e) + 1)]
-    for g in degrees + [1] * len(tags):
+    for g, cap in factors:
+        if cap is not None:
+            s = (cap + 1) * g
+            for j in range(e, s - 1, -1):
+                count[j] -= count[j - s]
         for j in range(g, e + 1):
             count[j] += count[j - g]
     return sum(count)
@@ -214,7 +218,9 @@ def total_sw_cost(expr: BundleExpr, max_degree: Optional[int] = None) -> Union[i
         if cells > cells_left:
             return None
         cells_left -= cells
-        return _monomials_up_to(tops, tags, e)
+        # w_1..w_top of each bundle (name -> top) and the line classes of the tags
+        degrees = [g for top in tops.values() for g in range(1, min(top, e) + 1)]
+        return _monomials_up_to([(g, None) for g in degrees + [1] * len(tags)], e)
 
     def walk(node: BundleExpr, tags: frozenset) -> tuple:
         # (terms, products, bundle tops, line tags, degree ceiling)

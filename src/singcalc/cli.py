@@ -17,6 +17,9 @@ and the suite), thom.MORIN_DERIVATION_MAX_DEGREE in
 thom.verify_morin_derivation, gysin.PUSHFORWARD_MAX_PRODUCTS in
 gysin.verify_pushforward, germs.STRATIFY_MAX_POINTS in germs.stratify_grid and
 bundles.TOTAL_SW_MAX_PRODUCTS in bundles.check_total_sw_cost (run by total-sw).
+Two bounds keep germlab's output meaningful: germs.RATIONAL_MAX_DIGITS on
+every rational read (so each verb can print what it computes) and
+suite.FD_CHECK_MAX_ABS on the point of jacobian --check-fd.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .gf2 import poly_to_json
 from .integral import iclass_to_json
 from .jets import jacobian_ad
 from .reports import FAIL, INFO, Report
-from .suite import SECTION_NAMES, VERIFIERS, Verifier, add_fd_check, failures, run_suite
+from .suite import (FD_CHECK_MAX_ABS, SECTION_NAMES, VERIFIERS, Verifier, add_fd_check,
+                    check_fd_point, failures, run_suite)
 
 
 def _resolve_max_deg(opt, degree=None, formula=None):
@@ -89,11 +93,41 @@ def _echo_result(as_json: bool, command: str, params: dict, text, payload) -> No
         click.echo(text())
 
 
+def _digit_count(text: str) -> int:
+    return sum(ch.isdecimal() for ch in text)
+
+
+def _literal_digits(text: str) -> int:
+    """An upper bound, read off the text, on the digits of the numerator and
+    of the denominator of Fraction(text). A decimal m.f times 10^e is the
+    integer mf times 10^(e - len(f)); a text that is no rational counts 0 and
+    is left for Fraction to refuse."""
+    num, slash, den = text.partition("/")
+    if slash:
+        return max(_digit_count(num), _digit_count(den))
+    mantissa, _, exp = text.lower().partition("e")
+    whole, _, frac = mantissa.partition(".")
+    magnitude = exp.replace("_", "").lstrip("+-").lstrip("0")
+    if not (magnitude.isdecimal() or magnitude == ""):
+        return 0
+    # an exponent of ten or more digits is over any digit bound either way
+    e = int(magnitude[:10] or 0) * (-1 if exp.startswith("-") else 1)
+    digits, shift = _digit_count(whole + frac), e - _digit_count(frac)
+    # a denominator divides 10^-shift, of 1 - shift digits
+    return digits + shift if shift >= 0 else max(digits, 1 - shift)
+
+
 def _parse_fractions(text: str, what: str):
     cleaned = text.replace("−", "-")
     parts = [s.strip() for s in cleaned.split(",") if s.strip()]
     if not parts:
         raise click.UsageError(f"empty {what}: {text!r}")
+    for s in parts:
+        if _literal_digits(s) > germs.RATIONAL_MAX_DIGITS:
+            shown = s if len(s) <= 40 else s[:37] + "..."
+            raise click.UsageError(
+                f"{what} value {shown!r} would have a numerator or denominator of over "
+                f"germs.RATIONAL_MAX_DIGITS = {germs.RATIONAL_MAX_DIGITS} digits")
     try:
         return [Fraction(s) for s in parts]
     except (ValueError, ZeroDivisionError) as exc:
@@ -284,12 +318,15 @@ def sigma_cmd(n, k, point, as_json):
 @click.option("--point", required=True)
 @click.option("--t", required=True, help="family parameter, exact rational")
 @click.option("--check-fd", is_flag=True,
-              help="also compare against float central differences (1e-6 relative)")
+              help="also compare against float central differences (1e-6 relative), "
+                   f"with every coordinate and t within {FD_CHECK_MAX_ABS}")
 @click.option("--json", "as_json", is_flag=True)
 def jacobian_cmd(n, k, point, t, check_fd, as_json):
     """Family Jacobian at a point: closed form, checked against the
     dual-number oracle."""
     p = _germ_point(n, k, point, t)
+    if check_fd:
+        _run(check_fd_point, p)
     rep = Report("germlab jacobian",
                  {"n": n, "k": k, "point": [str(c) for c in p.coords()],
                   "t": str(p.t)})

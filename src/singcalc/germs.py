@@ -67,6 +67,15 @@ class GermPoint:
         return list(self.x) + [self.y, self.z] + list(self.s)
 
 
+# The germlab verbs print exact values built from the coordinates. With at most
+# D digits in each coordinate's and t's numerator and denominator, sigma
+# reaches about 5D digits and a family Jacobian entry about 12D, and CPython
+# refuses to print an int of over 4300 digits by default. At this bound every
+# germlab verb prints at (n,k) = (4,1) and (10,4); the CLI refuses a longer
+# literal before it parses it.
+RATIONAL_MAX_DIGITS = 300
+
+
 def _validate_dims(n: int, k: int) -> None:
     if k < 1:
         raise ValueError("need k >= 1")

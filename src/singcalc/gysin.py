@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .bundles import Named, total_sw
+from .bundles import Named, _monomials_up_to, total_sw
 from .gf2 import (GF2Poly, add_product, inverse_total, linegen, mono_degree, mono_mul,
                   poly_to_json, split, verifier_bound, wgen, wpoly)
 from .reports import INFO, Report
@@ -101,18 +101,10 @@ def _inverse_terms(n: int, d: int) -> int:
     share a binary digit (Lucas). So a term gives each power of two b at most
     one index i_b <= n, and has degree sum(i_b * b): the count is the
     coefficient sum, up to z^d, of the product over b <= d of
-    1 + z^b + ... + z^(n b) = (1 - z^((n+1) b)) / (1 - z^b).
+    1 + z^b + ... + z^(n b), which counts monomials in one generator of
+    degree b and exponent at most n for each power of two b.
     """
-    count = [1] + [0] * d
-    b = 1
-    while b <= d:
-        s = (n + 1) * b
-        for x in range(d, s - 1, -1):
-            count[x] -= count[x - s]
-        for x in range(b, d + 1):
-            count[x] += count[x - b]
-        b *= 2
-    return sum(count)
+    return _monomials_up_to([(1 << j, n) for j in range(d.bit_length())], d)
 
 
 # The estimate tracks the measured time within about 3x on a 2-core machine:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .gf2 import GF2Poly, poly_from_json, poly_to_json, sq1_preimage, wgen
+from .gf2 import GF2Poly, poly_to_json, sq1_preimage, wgen
 
 # ---------------------------------------------------------------------------
 # free part: integer polynomials in p_1, p_2, ...
@@ -131,19 +131,6 @@ def ppoly_to_json(p: IntPoly) -> list:
     return [[c, [[f"p{i}", e] for i, e in m]] for m, c in p.terms]
 
 
-def ppoly_from_json(obj: list) -> IntPoly:
-    acc: dict = {}
-    for c, pairs in obj:
-        # outside input: merge a repeated p_i and drop zero exponents, so the
-        # p-monomial is canonical (reduce_mod2 relies on it)
-        m = tuple((int(name[1:]), int(e)) for name, e in pairs)
-        if any(e < 0 for _, e in m):
-            raise ValueError("negative exponent")
-        m = tuple(pair for pair in _pmono_mul(m, ()) if pair[1])
-        acc[m] = acc.get(m, 0) + int(c)
-    return IntPoly.from_dict(acc)
-
-
 # ---------------------------------------------------------------------------
 # integral classes
 
@@ -203,10 +190,6 @@ class IntegralClass:
 
 def iclass_to_json(c: IntegralClass) -> dict:
     return {"free": ppoly_to_json(c.free), "torsion": poly_to_json(c.torsion)}
-
-
-def iclass_from_json(obj: dict) -> IntegralClass:
-    return IntegralClass(ppoly_from_json(obj["free"]), poly_from_json(obj["torsion"]))
 
 
 def v_class(indices: Iterable[int]) -> IntegralClass:

@@ -16,6 +16,7 @@ Randomized sections use a fixed seed so output is byte-for-byte stable.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -245,9 +246,26 @@ def _sec_germ_sigma(d):
     return [rep]
 
 
+# A central difference with step 1e-6 loses about 2e-16 * |f| / 1e-6 to float
+# rounding, and |f| grows as the cube of the coordinates. Over random and
+# hill-climbed points at (n,k) = (4,1), (6,2) and (10,4) the worst relative
+# error was 9.5e-8 with every coordinate and t within 10 in absolute value,
+# 1.7e-6 within 30 (32 of 600 random points failed) and 5.6e-5 within 100.
+FD_CHECK_MAX_ABS = 10
+
+
+def check_fd_point(p: germs.GermPoint) -> None:
+    """Refuse a point where add_fd_check's float rounding could pass 1e-6."""
+    if any(abs(c) > FD_CHECK_MAX_ABS for c in p.coords() + [p.t]):
+        raise ValueError("the finite-difference check needs every coordinate and t "
+                         f"within FD_CHECK_MAX_ABS = {FD_CHECK_MAX_ABS} in absolute value; "
+                         "past it float rounding can exceed its 1e-6 tolerance")
+
+
 def add_fd_check(rep: Report, n: int, k: int, p: germs.GermPoint, hand) -> None:
     """Record whether float central differences of the family at p agree
-    with the exact Jacobian `hand` to 1e-6 relative; a shape mismatch fails."""
+    with the exact Jacobian `hand` to 1e-6 relative; a shape mismatch fails.
+    The tolerance holds at points check_fd_point accepts."""
     fd = jacobian_fd(lambda c: germs._tilde_f_coords(n, k, c),
                      [float(c) for c in p.coords() + [p.t]])
     worst = 0.0
@@ -370,8 +388,8 @@ def run_suite(sections: Optional[Iterable[str]] = None,
     """Run the named sections (all by default) and return their reports.
 
     A section that raises is converted into a failing report: the suite's
-    job is to witness problems, not to crash on them. An empty selection is
-    refused.
+    job is to witness problems, not to crash on them. An empty selection, an
+    unknown name and a repeated name are refused before any section runs.
     """
     wanted = SECTION_NAMES if sections is None else tuple(sections)
     if not wanted:
@@ -380,6 +398,10 @@ def run_suite(sections: Optional[Iterable[str]] = None,
     unknown = [s for s in wanted if s not in lookup]
     if unknown:
         raise ValueError(f"unknown suite section(s): {', '.join(sorted(unknown))}")
+    repeated = sorted(s for s, count in Counter(wanted).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeated suite section(s): {', '.join(repeated)}; "
+                         "a section would run and count its checks more than once")
     out: List[Report] = []
     for name in wanted:
         try:

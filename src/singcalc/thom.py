@@ -3,7 +3,7 @@
 Mod-2 classes of the corank loci come from the determinantal formula; the
 Morin family has the closed form built from A = w_{k+1}^2 + w_k*w_{k+2}.
 Integral classes exist for odd k (and even r in the Morin family) and live
-in the Pontryagin-plus-torsion model of integral_alg.
+in the Pontryagin-plus-torsion model of integral.
 
 Reversing the rows of the corank-r matrix [w_{l+r+j-i}] gives the symmetric
 Hankel matrix h_ij = w_{l+1+i+j}. Over GF(2) a permutation and its inverse
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, total_sw
+from .bundles import MorinNu1, Prim, TwistedPrim, apply_regime, tensor_line, total_sw
 from .bundles import LineBundle, Named, Sum
 from .gf2 import (ONE_MONO, GF2Poly, add_product, linegen, mono_degree, mono_mul,
                   poly_to_json, split, verifier_bound, wgen, wpoly)
@@ -288,17 +288,9 @@ def _absorb_kernel_line(p: GF2Poly, k: int, tag: str = "t") -> GF2Poly:
 
 # The derivation works to the degree d = max(bound, 4(k+1), r(k+1)), and its
 # total class grows with d. On a 2-core machine d = 1000 takes at most 0.03 s
-# (at k = 249); r = k = 150 (d = 22 650) took 0.42 s, r = 2, k = 2499
-# (d = 10 000) 0.19 s and r = k = 300 (d = 90 300) 2.0 s.
+# (at k = 249); r = k = 150 (d = 22 650) took 0.29 s, r = 2, k = 2499
+# (d = 10 000) 1.4 s and r = k = 300 (d = 90 300) 1.1 s.
 MORIN_DERIVATION_MAX_DEGREE = 1000
-
-
-def _twisted_top(red: GF2Poly, k: int, tag: str, d: int) -> GF2Poly:
-    """Top class of (line t) tensor (rank k+1 with total class red): a term of
-    degree i <= k+1 meets t^(k+1-i) with coefficient C(k+1-i, k+1-i) = 1."""
-    t = linegen(tag)
-    return GF2Poly.from_terms((mono_mul(m, ((t, s),)) if s else m
-                               for m in red.terms if (s := k + 1 - mono_degree(m)) >= 0), d)
 
 
 def verify_morin_derivation(r: int, k: int,
@@ -329,7 +321,7 @@ def verify_morin_derivation(r: int, k: int,
     e1_expected = wpoly(k + 1, "", d) + GF2Poly.gen(linegen(tag), d) * wpoly(k, "", d)
     report.check_equal("E1 = w_{k+1} + t w_k", e1, e1_expected)
 
-    e2 = _twisted_top(red, k, tag, d)
+    e2 = tensor_line(tag, k + 1, red, d).homogeneous_part(k + 1)
     report.check_equal("E2: twisted top class collapses to w_{k+1}",
                        e2, wpoly(k + 1, "", d))
 

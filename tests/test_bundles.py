@@ -254,14 +254,14 @@ def test_total_sw_cost_refuses_deep_trees_cheaply():
     assert total_sw_cost(Named("nu_f", 10 ** 12)) == 10 ** 12 + 1
 
 
-def _brute_monomials(tops, tags, e):
-    # enumerate exponent vectors over the generators, degree <= e
-    degrees = [i for top in tops.values() for i in range(1, top + 1)] + [1] * len(tags)
-
+def _brute_monomials(factors, e):
+    # enumerate exponent vectors over the (degree, cap) generators, degree <= e
     def rec(i, left):
-        if i == len(degrees):
+        if i == len(factors):
             return 1
-        return sum(rec(i + 1, left - degrees[i] * a) for a in range(left // degrees[i] + 1))
+        g, cap = factors[i]
+        top = left // g if cap is None else min(cap, left // g)
+        return sum(rec(i + 1, left - g * a) for a in range(top + 1))
 
     return rec(0, e)
 
@@ -271,8 +271,20 @@ def _brute_monomials(tops, tags, e):
                                        ({"A": 4, "B": 1}, frozenset({"t", "u"})),
                                        ({}, frozenset({"t", "u", "v"}))])
 def test_monomial_count_matches_enumeration(tops, tags):
+    # w_1..w_top of each bundle and one degree-1 class per tag, as total_sw_cost counts
+    factors = [(i, None) for top in tops.values() for i in range(1, top + 1)]
+    factors += [(1, None)] * len(tags)
     for e in range(0, 9):
-        assert _monomials_up_to(tops, tags, e) == _brute_monomials(tops, tags, e)
+        assert _monomials_up_to(factors, e) == _brute_monomials(factors, e)
+
+
+@pytest.mark.parametrize("factors", [[(1, 0)], [(1, 2)], [(2, 1), (1, None)],
+                                     [(1, 3), (2, 3), (4, 3), (8, 3)],
+                                     [(3, 2), (1, 1), (2, None), (5, 0)]])
+def test_capped_monomial_count_matches_enumeration(factors):
+    # a capped generator, as in the count of the inverse total class's terms
+    for e in range(0, 13):
+        assert _monomials_up_to(factors, e) == _brute_monomials(factors, e)
 
 
 COST_CASES = ["nu_f", "nu_f + TM", "A + B + nu_f", "A + A + A", "tensor(t, nu_f - TM)",

@@ -2,6 +2,7 @@
 test runner: output formats, exit codes, env overrides."""
 
 import json
+import random
 import re
 from itertools import product
 
@@ -12,6 +13,7 @@ import singcalc.bundles as bundles
 import singcalc.cli as cli
 import singcalc.germs as germs
 import singcalc.gysin as gysin
+import singcalc.suite as suite
 import singcalc.thom as thom
 from singcalc.reports import FAIL, Report
 from singcalc.suite import failures, run_suite
@@ -436,6 +438,19 @@ def test_suite_refuses_an_empty_selection(runner, sections):
         run_suite([])
 
 
+def test_suite_refuses_a_repeated_section(runner, monkeypatch):
+    # one check run and counted twice would inflate the report count
+    ran = []
+    monkeypatch.setattr(thom, "verify_gtp_convention",
+                        lambda d=None: ran.append(d) or Report("x", {}))
+    res = runner.invoke(cli.tpcalc, ["suite", "--sections", "convention,convention"])
+    assert res.exit_code == 2
+    assert "repeated suite section(s): convention" in res.output
+    assert ran == []
+    with pytest.raises(ValueError, match="repeated suite section"):
+        run_suite(["steenrod", "convention", "steenrod"])
+
+
 def test_suite_failure_exit(runner, monkeypatch):
     # flip the determinant filling convention; the layout-pinning section
     # must catch it and drive the exit code
@@ -482,6 +497,73 @@ def test_jacobian_with_fd(runner):
     assert res.exit_code == 0
     assert "finite differences agree" in res.output
     assert '"1", "-4/3", "0", "4/3", "-2/3"' in res.output
+
+
+@pytest.mark.parametrize("point,t", [("0,1,0,1000", "1"), ("0,0,0,0", "-21/2"),
+                                     ("10001/1000,0,0,0", "0")])
+def test_check_fd_refuses_a_point_past_its_tolerance(runner, monkeypatch, point, t):
+    # float rounding of the central differences grows with |f|; the refusal
+    # comes before the Jacobian is built
+    monkeypatch.setattr(germs, "jacobian_tilde_f", lambda *a, **kw: 1 / 0)
+    res = runner.invoke(cli.germlab, ["jacobian", "--n", "4", "--k", "1",
+                                      "--point", point, "--t", t, "--check-fd"])
+    assert res.exit_code == 2
+    assert f"FD_CHECK_MAX_ABS = {suite.FD_CHECK_MAX_ABS}" in res.output
+
+
+def test_check_fd_passes_at_its_bound(runner):
+    b = suite.FD_CHECK_MAX_ABS
+    for n, k in ((4, 1), (6, 2)):
+        for signs in ((1,) * (n + 1), tuple((-1) ** i for i in range(n + 1))):
+            coords = ",".join(str(sg * b) for sg in signs[:n])
+            res = runner.invoke(cli.germlab, ["jacobian", "--n", str(n), "--k", str(k),
+                                              "--point", coords, "--t", str(signs[n] * b),
+                                              "--check-fd"])
+            assert res.exit_code == 0, res.output
+            assert "[pass] finite differences agree" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["sigma", "--point", "0,0,0,1e4299"],
+    ["sigma", "--point", "0,0,0,1e10000000"],
+    ["stratify", "--grid", "0,1e5000"],
+    ["jacobian", "--point", "0,0,0,0", "--t", "1e-300"],
+    ["jacobian", "--point", "0,0,0,1e300", "--t", "1", "--check-fd"],
+    ["scan-sigma2", "--grid", "0", "--t-grid", "1/" + "9" * 301],
+    ["sigma", "--point", "0,0,0," + "1" * 301 + "/3"],
+    ["sigma", "--point", "0,0,0,0." + "0" * 299 + "1"],
+])
+def test_oversized_rationals_are_refused_before_parsing(runner, args):
+    res = runner.invoke(cli.germlab, [args[0], "--n", "4", "--k", "1", *args[1:]])
+    assert res.exit_code == 2
+    assert f"germs.RATIONAL_MAX_DIGITS = {germs.RATIONAL_MAX_DIGITS}" in res.output
+
+
+def test_every_germlab_verb_prints_at_the_digit_bound(runner):
+    # a family Jacobian entry has about 12 times the coordinates' digits, and
+    # CPython prints no int of over 4300 digits by default
+    d = germs.RATIONAL_MAX_DIGITS
+    rng = random.Random(25)
+    point, big = [",".join(f"{rng.randrange(10 ** (d - 1), 10 ** d)}/"
+                           f"{rng.randrange(10 ** (d - 1), 10 ** d)}" for _ in range(m))
+                  for m in (5, 1)]
+    for args in (["sigma", "--point", point], ["jacobian", "--point", point, "--t", big],
+                 ["jacobian", "--point", point, "--t", big, "--json"],
+                 ["transversality", "--point", f"0,0,0,0,{big}", "--t", "0"],
+                 ["stratify", "--grid", big, "--t-grid", f"1e-{d - 1}"],
+                 ["scan-sigma2", "--grid", big, "--t-grid", f"0,1e{d - 1}"]):
+        res = runner.invoke(cli.germlab, [args[0], "--n", "5", "--k", "1", *args[1:]])
+        assert res.exit_code == 0, (args[0], res.output[-300:])
+
+
+@pytest.mark.parametrize("text", ["12", "-0.5", ".25e3", "1.5e-3", "3e+2", "1_000/7",
+                                  "22/7", "0.0001", "1e-5", "9.99e10", "1e0_3"])
+def test_literal_digits_bound_the_parsed_fraction(text):
+    from fractions import Fraction
+    value = Fraction(text)
+    bound = cli._literal_digits(text)
+    assert len(str(abs(value.numerator))) <= bound
+    assert len(str(value.denominator)) <= bound
 
 
 def test_transversality_at_cusp(runner):

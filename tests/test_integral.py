@@ -5,9 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from singcalc.gf2 import GF2Poly, sq1, wpoly
-from singcalc.integral import (IntegralClass, IntPoly, iclass_from_json,
-                               iclass_to_json, ppoly_from_json, ppoly_to_json,
-                               torsion_in_sq1_image, v_class)
+from singcalc.integral import IntegralClass, IntPoly, torsion_in_sq1_image, v_class
 
 pmonos = st.lists(
     st.tuples(st.integers(1, 3), st.integers(1, 2)), max_size=2
@@ -94,20 +92,3 @@ def test_torsion_membership_rejects_nonboundaries():
     # mixed-degree boundary: sq1(w2) in degree 3, sq1(w2 w5) = w3 w5 in 8
     mixed = IntegralClass.from_torsion(sq1(wpoly(2)) + sq1(wpoly(2) * wpoly(5)))
     assert torsion_in_sq1_image(mixed)
-
-
-@given(classes)
-def test_json_roundtrip(c):
-    assert iclass_from_json(iclass_to_json(c)) == c
-    assert ppoly_from_json(ppoly_to_json(c.free)) == c.free
-
-
-def test_ppoly_from_json_canonicalizes_outside_input():
-    # a repeated p_i merges and a zero exponent drops, as for w-monomials
-    messy = ppoly_from_json([[1, [["p2", 1], ["p1", 0], ["p2", 2]]], [3, [["p1", 1]]]])
-    assert messy == IntPoly.p(2) ** 3 + IntPoly.p(1) * IntPoly.from_dict({(): 3})
-    assert messy.reduce_mod2() == wpoly(4) ** 6 + wpoly(2) ** 2
-    assert iclass_from_json({"free": [[1, [["p1", 1], ["p1", 1]]]], "torsion": []}).free \
-        == IntPoly.p(1) ** 2
-    with pytest.raises(ValueError):
-        ppoly_from_json([[1, [["p1", -1]]]])

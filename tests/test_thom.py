@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singcalc.bundles import (LineBundle, MorinNu1, Named, Sum, TwistedPrim, apply_regime,
-                              tensor_line, total_sw)
+from singcalc.bundles import LineBundle, Named, Sum, TwistedPrim, apply_regime, total_sw
 from singcalc.gf2 import (GF2Poly, gen_degree, gen_sort_key, linegen, mono, mono_degree, wgen,
                           wpoly)
 from singcalc.integral import IntPoly, v_class
@@ -342,19 +341,6 @@ def test_morin_derivation_checks_the_reduction_up_to_the_bound(monkeypatch):
     default = verify_morin_derivation(r, k)
     assert high.params["max_degree"] == 20
     assert high.checks == default.checks and high.artifacts == default.artifacts
-
-
-@pytest.mark.parametrize("k", range(13))
-def test_twisted_top_is_the_top_part_of_tensor_line(k):
-    # E2 built term by term, against the whole line-twisted total's degree-(k+1)
-    # part; the unreduced total also holds t * w_a and w_a, whose images cancel
-    for d in (default_degree(k), 3 * (k + 1) + 2):
-        _, tot = total_sw(Sum(Named("nu_f", d), LineBundle("t")), d)
-        for red in (apply_regime(tot, MorinNu1(k, "t")), tot):
-            direct = thom._twisted_top(red, k, "t", d)
-            whole = tensor_line("t", k + 1, red.truncate(k + 1), d).homogeneous_part(k + 1)
-            assert direct.terms == whole.terms
-            assert direct.max_degree == whole.max_degree == d
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 6])
